@@ -5,9 +5,11 @@ are printed (run with ``-s`` to see them) and the claim *shape* is asserted.
 
 Benches that measure wall-clock speedups record machine-readable
 ``{bench, wall_ms, speedup}`` rows through the :func:`bench_json` fixture;
-the rows are appended to the file named by ``--bench-json`` (default
-``BENCH_pipeline.json`` at the repo root) when the session ends, so the
-performance trajectory across PRs stays queryable.
+in a bench session the rows are appended to the file named by
+``--bench-json`` (e.g. ``BENCH_pipeline.json`` at the repo root) when the
+session ends, so the performance trajectory across PRs stays queryable.
+Without ``--bench-json`` no file is written: a plain ``pytest`` run checks
+the benches but leaves the trail alone.
 """
 
 import json
@@ -36,8 +38,10 @@ def _blas_threads() -> int:
 def pytest_addoption(parser):
     parser.addoption(
         "--bench-json",
-        default="BENCH_pipeline.json",
-        help="file (relative to the repo root) that benchmark rows are appended to",
+        default=None,
+        metavar="PATH",
+        help="file (relative to the repo root) that benchmark rows are appended "
+        "to; without it no rows are written",
     )
     parser.addoption(
         "--bench-min-speedup",
@@ -202,9 +206,10 @@ def pytest_sessionfinish(session, exitstatus):
         # ship a dense-regime slowdown.
         session.exitstatus = pytest.ExitCode.TESTS_FAILED
         return
-    if not _BENCH_ROWS or exitstatus != 0:
-        return  # never pollute the perf trail with rows from a failed run
-    path = Path(session.config.rootpath) / session.config.getoption("--bench-json")
+    target = session.config.getoption("--bench-json")
+    if target is None or not _BENCH_ROWS or exitstatus != 0:
+        return  # no trail asked for, or never pollute it with a failed run's rows
+    path = Path(session.config.rootpath) / target
     try:
         rows = json.loads(path.read_text()) if path.exists() else []
         if not isinstance(rows, list):

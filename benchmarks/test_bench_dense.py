@@ -16,8 +16,9 @@ same frames.  This bench measures the dense-path engine that replaces it:
   regime (oracle detector: every frame localizes), showing the cap ROADMAP
   flagged on fleet speedup lifted.
 
-Rows append to ``BENCH_pipeline.json`` via ``bench_json``; guard them with
-``--bench-min-speedup pipeline_10s_4mic_dense=5.0`` (see README.md).
+Rows append to ``BENCH_pipeline.json`` via ``bench_json`` in a bench
+session; guard them with ``--bench-min-speedup pipeline_10s_4mic_dense=5.0``
+and the E14 coarse-to-fine floors (see README.md).
 """
 
 import time
@@ -165,11 +166,12 @@ def test_e14_coarse_to_fine_vs_dense_sweep(square_array, siren_drive_by, cls, be
             ("coarse-to-fine", t_c2f * 1e3, speedup, float(gaps.max())),
         ],
     )
+    # The speed claim is a bench-session guard, not a tier-1 assertion (see
+    # README.md): the conventional localizer is sweep-bound, so the
+    # decimated grid pays off hardest (>= 1.3x); the Nyquist-fast variant is
+    # GCC-front-end-bound and gains mostly from the float32 shared cache
+    # (>= 1.15x).
     bench_json(f"E14_c2f_{cls.__name__}_72x9", t_c2f * 1e3, speedup)
-    # The conventional localizer is sweep-bound, so the decimated grid pays
-    # off hardest; the Nyquist-fast variant is GCC-front-end-bound and gains
-    # mostly from the float32 shared cache.
-    assert speedup >= (1.3 if cls is SrpPhat else 1.15)
     # Tolerance contract on real FM content: >= 90% of frames land on the
     # dense argmax exactly; the rest (low-frequency instants of the wail
     # where PHAT maps lose spatial contrast) stay within a bounded

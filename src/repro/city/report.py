@@ -1,15 +1,16 @@
 """City-wide health rollups: many corridors, one operator picture.
 
-The per-corridor layers already exist — :func:`repro.fleet.report.
-fleet_report` rolls a session's node health up, :class:`repro.stream.pacer.
+The per-corridor layers already exist — a :class:`repro.fleet.report.
+FleetRollup` rolls a session's node health up, :class:`repro.stream.pacer.
 PacerStats` records every pacing decision, and :class:`repro.stream.budget.
 StageBudget` decomposes each update's detect-to-update latency.  This module
 folds all of it across sessions:
 
 - **per-corridor**: one :class:`CorridorHealth` row per session — lifecycle
-  state, node health counts from ``fleet_report``, hop / detect-to-update
-  p95s, and *debounced* overrun alerts from :class:`repro.core.alerts.
-  OverrunPolicy` over the corridor's worst shard per step;
+  state, node health counts from the session's rollup, hop /
+  detect-to-update p95s, and *debounced* overrun alerts from
+  :class:`repro.core.alerts.OverrunPolicy` over the corridor's worst shard
+  per step;
 - **city-level**: the pooled detect-to-update distribution over every
   session and a second :class:`~repro.core.alerts.OverrunPolicy` pass over
   the city's step-wise worst corridor — so a city alert means *somewhere,
@@ -20,22 +21,38 @@ Step-wise rollups take the **max duration against the min budget** at each
 step index: the city is as slow as its slowest corridor and as tight as its
 tightest deadline, which makes the rollup conservative — a city that never
 alerts is a city where *no* corridor sustained an overrun.
+
+**Cost model.**  Every rollup is incremental: each session keeps a warm
+:class:`~repro.fleet.report.FleetRollup` and a :class:`CityRollup` keeps the
+city-level debounce, so the Python work of one report is proportional to
+the frames, pacer records and budgets produced since the previous report,
+plus the *provisional tail*.  On top come per-session summaries read in
+place and exact percentiles over the retained samples (numpy, cheap next to
+the replays they replace).  Everything already consumed is final except
+the step-wise merges: merged step ``i`` can still change while a shard or
+session that has not reached step ``i`` may yet record it — a live
+corridor's lagging shards, and at city level any live session's lagging
+shards or any session not yet joined.  That tail is replayed on a copy of
+the debounce at every report, so alerts (and their step indices) over it
+are provisional until it settles.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.core.alerts import BudgetAlert, OverrunPolicy
-from repro.core.realtime import LatencyStats
-from repro.fleet.report import fleet_report
+from repro.core.realtime import LatencyStats, latency_stats_ms, monitor_stats
+from repro.fleet.report import FleetRollup, _stepwise_worst
 
 __all__ = [
     "CorridorHealth",
     "CityReport",
+    "CityRollup",
     "city_report",
     "format_city_report",
     "city_report_json",
@@ -132,42 +149,25 @@ class CityReport:
         return sum(1 for a in self.city_alerts if a.kind == "overrun")
 
 
-def _stepwise_worst(
-    streams: Sequence[Sequence[Sequence[float]]],
-) -> list[tuple[float, float]]:
-    """Fold per-step ``(duration, budget, ...)`` record streams into one.
-
-    At each step index the rollup takes the *max* duration against the
-    *min* budget over every stream that reached that step — the
-    conservative "slowest member vs tightest deadline" view used for both
-    the per-corridor (over shards) and city-level (over corridors)
-    debounce passes.  Ragged streams contribute for as long as they ran.
-    """
-    n = max((len(s) for s in streams), default=0)
-    out: list[tuple[float, float]] = []
-    for i in range(n):
-        rows = [s[i] for s in streams if i < len(s)]
-        out.append(
-            (max(r[0] for r in rows), min(r[1] for r in rows))
-        )
-    return out
-
-
 def _corridor_health(
-    session, *, overrun_policy_factory=OverrunPolicy
-) -> tuple[CorridorHealth, list[tuple[float, float]], tuple[float, ...]]:
-    """One session's rollup row, plus its merged records and d2u samples
-    for the city-level pass."""
-    result = session.snapshot()
+    session,
+    rollup: FleetRollup | None,
+    live_latency: tuple[LatencyStats, dict[str, LatencyStats]] | None,
+) -> CorridorHealth:
+    """One session's row from its caught-up rollup (``None``: not yet live)
+    and, while it is live, its ``(hop, per-node)`` latencies."""
     spec = session.spec
-    if result is None:
+    lifecycle = dict(
+        corridor_id=spec.corridor_id,
+        state=session.state,
+        degraded=session.degraded,
+        joined_step=session.joined_step,
+        left_step=session.left_step,
+    )
+    if rollup is None:
         # Not yet live: an empty row keeps submitted sessions visible.
-        empty = CorridorHealth(
-            corridor_id=spec.corridor_id,
-            state=session.state,
-            degraded=session.degraded,
-            joined_step=session.joined_step,
-            left_step=session.left_step,
+        return CorridorHealth(
+            **lifecycle,
             n_nodes=spec.n_nodes,
             n_nodes_realtime=0,
             n_frames=0,
@@ -181,48 +181,138 @@ def _corridor_health(
             n_overrun_alerts=0,
             peak_hop_batch=0,
         )
-        return empty, [], ()
-    frame_period = session.scheduler.config.frame_period_s
-    report = fleet_report(
-        result.tracks,
-        result.as_run_result(),
-        frame_period=frame_period,
-        pacer_stats=result.node_pacer_stats(),
-        tap_misses=result.tap_misses,
-    )
-    merged = _stepwise_worst(
-        [ps.records for ps in result.pacer_stats.values()]
-    )
-    alerts = tuple(overrun_policy_factory().process(merged))
-    d2u = result.detect_to_update
-    d2u_samples = tuple(b.detect_to_update_ms for b in result.stage_budgets)
-    health = CorridorHealth(
-        corridor_id=spec.corridor_id,
-        state=session.state,
-        degraded=session.degraded,
-        joined_step=session.joined_step,
-        left_step=session.left_step,
-        n_nodes=len(report.node_health),
-        n_nodes_realtime=sum(1 for h in report.node_health if h.realtime),
-        n_frames=sum(h.n_frames for h in report.node_health),
-        n_detections=sum(h.n_detections for h in report.node_health),
-        n_tracks=len(result.tracks),
-        n_updates=len(result.updates),
-        hop_p95_ms=result.hop_latency.p95_s * 1e3,
-        d2u_p95_ms=d2u.p95_s * 1e3 if d2u is not None else 0.0,
-        d2u_deadline_ms=d2u.deadline_s * 1e3 if d2u is not None else 0.0,
-        n_overruns=sum(ps.n_overruns for ps in result.pacer_stats.values()),
+    # The per-snapshot summaries that are not streams: a left session's
+    # come from its final result, a live one's from its stream in place.
+    res, live = session.result, session.stream
+    if res is not None:
+        latencies = {nid: st.latency for nid, st in res.node_stats.items()}
+        hop, deadline_s = res.hop_latency, res.detect_to_update.deadline_s
+        n_tracks, n_updates, tap_misses = len(res.tracks), len(res.updates), res.tap_misses
+        sched = (res.n_steals, res.n_migrations, res.queue_depth_p95)
+    else:
+        hop, latencies = live_latency
+        deadline_s = live.d2u_deadline_s
+        n_tracks = len(live.fusion.retired) + len(live.fusion.active)
+        n_updates, tap_misses = len(live.updates), live.tap_misses
+        s = live.sched_stats()
+        sched = (s["n_steals"], s["n_migrations"], s["queue_depth_p95"])
+    nodes = rollup.node_health(latencies)
+    d2u = rollup.detect_to_update(deadline_s)
+    alerts = rollup.corridor_alerts()
+    return CorridorHealth(
+        **lifecycle,
+        n_nodes=len(nodes),
+        n_nodes_realtime=sum(1 for h in nodes if h.realtime),
+        n_frames=sum(h.n_frames for h in nodes),
+        n_detections=sum(h.n_detections for h in nodes),
+        n_tracks=n_tracks,
+        n_updates=n_updates,
+        hop_p95_ms=hop.p95_s * 1e3,
+        d2u_p95_ms=d2u.p95_s * 1e3,
+        d2u_deadline_ms=d2u.deadline_s * 1e3,
+        n_overruns=rollup.n_overruns,
         n_overrun_alerts=sum(1 for a in alerts if a.kind == "overrun"),
-        peak_hop_batch=max(
-            (ps.max_batch_used for ps in result.pacer_stats.values()), default=0
-        ),
-        n_steals=result.n_steals,
-        n_migrations=result.n_migrations,
-        queue_depth_p95=result.queue_depth_p95,
-        n_tap_misses=sum(result.tap_misses.values()),
+        peak_hop_batch=rollup.peak_hop_batch,
+        n_steals=sched[0],
+        n_migrations=sched[1],
+        queue_depth_p95=sched[2],
+        n_tap_misses=sum(tap_misses.values()),
         alerts=alerts,
     )
-    return health, merged, d2u_samples
+
+
+class CityRollup:
+    """Warm city-level health over an ordered set of sessions.
+
+    Iterating it yields the sessions, so :func:`city_report` accepts it in
+    place of a session list; it then advances this rollup's city-level
+    debounce instead of replaying the city's whole history.  The city
+    debounce runs over the step-wise worst corridor, index-aligned like the
+    per-corridor merge, so a merged city step is settled only once every
+    session that can still record has settled it: sessions not yet joined
+    (and live sessions with lagging shards) hold the settled prefix back,
+    and the unsettled tail is replayed on a copy at each report.  A change
+    in the session set re-derives the city debounce from scratch.
+
+    ``sessions`` may be a live view (e.g. ``SessionManager.sessions.
+    values()``); each session's own warm :class:`~repro.fleet.report.
+    FleetRollup` supplies its row, unless a custom
+    ``overrun_policy_factory`` asks for cold per-session rollups.
+    """
+
+    def __init__(self, sessions: Iterable, *, overrun_policy_factory=OverrunPolicy) -> None:
+        self._sessions = sessions
+        self._factory = overrun_policy_factory
+        self._key: tuple = ()
+        self._reset()
+
+    def __iter__(self):
+        return iter(self._sessions)
+
+    def _reset(self) -> None:
+        self._policy = self._factory()
+        self._alerts: list[BudgetAlert] = []
+        self._done = 0
+
+    def report(self, *, n_worker_restarts: int = 0, pool_workers: int = 0) -> CityReport:
+        """Catch every session up and roll the city up (see the module doc
+        for the cost model)."""
+        sessions = list(self._sessions)
+        key = tuple(map(id, sessions))
+        if key != self._key:
+            self._key = key
+            self._reset()
+        if self._factory is OverrunPolicy:
+            rollups = [s.health() for s in sessions]
+        else:
+            rollups = [
+                s.feed(FleetRollup(overrun_policy_factory=self._factory)) for s in sessions
+            ]
+        # Live sessions' hop and node latencies in one vectorized pass.
+        live = [s.stream for s in sessions if s.result is None and s.stream is not None]
+        stats = iter(monitor_stats([m for st in live for m in st.latency_monitors()]))
+        latency = {
+            id(st): (next(stats), {nid: next(stats) for nid in st.node_order}) for st in live
+        }
+        rows = [
+            _corridor_health(s, r, latency.get(id(s.stream)))
+            for s, r in zip(sessions, rollups)
+        ]
+
+        streams = [r for r in rollups if r is not None]
+        length = max((r.n_merged for r in streams), default=0)
+        done = min(
+            (r.merged_done if r is not None else 0 for r in rollups if r is None or not r.final),
+            default=length,
+        )
+        if done > self._done:
+            self._alerts.extend(self._policy.process(_merged(streams, self._done, done)))
+            self._done = done
+        tail = _merged(streams, self._done, length)
+        city_alerts = tuple(self._alerts)
+        if tail:
+            city_alerts += tuple(copy.deepcopy(self._policy).process(tail))
+
+        d2u_deadline = 0.0
+        for row in rows:
+            d2u_deadline = max(d2u_deadline, row.d2u_deadline_ms / 1e3)
+        d2u_all = np.concatenate([r.d2u_ms for r in streams]) if streams else np.empty(0)
+        return CityReport(
+            corridors=tuple(rows),
+            n_sessions=len(rows),
+            n_live=sum(1 for r in rows if r.state == "live"),
+            n_left=sum(1 for r in rows if r.state == "left"),
+            n_degraded=sum(1 for r in rows if r.degraded),
+            n_worker_restarts=n_worker_restarts,
+            pool_workers=pool_workers,
+            detect_to_update=latency_stats_ms(d2u_all, max(d2u_deadline, 1e-9)),
+            city_alerts=city_alerts,
+        )
+
+
+def _merged(rollups: Sequence[FleetRollup], start: int, stop: int) -> list[tuple[float, float]]:
+    """City steps ``start .. stop-1``: the step-wise worst corridor."""
+    return _stepwise_worst([r.merged(start, stop) for r in rollups])
 
 
 def city_report(
@@ -235,49 +325,18 @@ def city_report(
     """Roll every session's health up into one :class:`CityReport`.
 
     ``sessions`` are :class:`~repro.city.session.CitySession` objects in
-    any lifecycle state: live sessions are snapshotted in place, left
-    sessions use their final results, submitted ones appear as empty rows.
-    The city-level debounce runs ``overrun_policy_factory()`` over the
-    step-wise worst corridor (max duration, min budget per step).
+    any lifecycle state: live sessions are read in place, left sessions
+    through their final results, submitted ones appear as empty rows.
+    Each session's row comes from its warm rollup; passing a
+    :class:`CityRollup` also keeps the city-level debounce warm.  The
+    city-level debounce runs ``overrun_policy_factory()`` over the
+    step-wise worst corridor (max duration, min budget per step); a custom
+    factory builds cold rollups, per session and city-wide, through the
+    same code.
     """
-    rows: list[CorridorHealth] = []
-    corridor_streams: list[list[tuple[float, float]]] = []
-    d2u_all: list[float] = []
-    d2u_deadline = 0.0
-    for session in sessions:
-        health, merged, d2u_samples = _corridor_health(
-            session, overrun_policy_factory=overrun_policy_factory
-        )
-        rows.append(health)
-        if merged:
-            corridor_streams.append(merged)
-        d2u_all.extend(d2u_samples)
-        d2u_deadline = max(d2u_deadline, health.d2u_deadline_ms / 1e3)
-    city_samples = _stepwise_worst(corridor_streams)
-    city_alerts = tuple(overrun_policy_factory().process(city_samples))
-    if d2u_all:
-        vals = np.asarray(d2u_all) / 1e3
-        detect_to_update = LatencyStats(
-            mean_s=float(vals.mean()),
-            p95_s=float(np.percentile(vals, 95)),
-            max_s=float(vals.max()),
-            deadline_s=max(d2u_deadline, 1e-9),
-        )
-    else:
-        detect_to_update = LatencyStats(
-            mean_s=0.0, p95_s=0.0, max_s=0.0, deadline_s=max(d2u_deadline, 1e-9)
-        )
-    return CityReport(
-        corridors=tuple(rows),
-        n_sessions=len(rows),
-        n_live=sum(1 for r in rows if r.state == "live"),
-        n_left=sum(1 for r in rows if r.state == "left"),
-        n_degraded=sum(1 for r in rows if r.degraded),
-        n_worker_restarts=n_worker_restarts,
-        pool_workers=pool_workers,
-        detect_to_update=detect_to_update,
-        city_alerts=city_alerts,
-    )
+    if not (isinstance(sessions, CityRollup) and overrun_policy_factory is OverrunPolicy):
+        sessions = CityRollup(list(sessions), overrun_policy_factory=overrun_policy_factory)
+    return sessions.report(n_worker_restarts=n_worker_restarts, pool_workers=pool_workers)
 
 
 def format_city_report(report: CityReport) -> str:

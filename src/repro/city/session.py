@@ -39,6 +39,7 @@ from typing import Mapping
 
 import numpy as np
 
+from repro.fleet.report import FleetRollup
 from repro.stream.pacer import PacerConfig, SharedCapacity
 from repro.stream.parallel import ParallelFleetStream, ParallelStreamResult
 from repro.stream.pool import ShardWorkerPool
@@ -93,6 +94,7 @@ class CitySession:
         self.scheduler = None
         self.stream: ParallelFleetStream | None = None
         self.result: ParallelStreamResult | None = None
+        self._rollup = FleetRollup()
 
     @property
     def corridor_id(self) -> str:
@@ -103,13 +105,38 @@ class CitySession:
         """Whether the live stream has drained all its sources."""
         return self.stream is not None and self.stream.done
 
-    def snapshot(self) -> ParallelStreamResult | None:
-        """The session's result so far: final after leave, live otherwise."""
+    def feed(self, rollup: FleetRollup) -> FleetRollup | None:
+        """Catch ``rollup`` up with what this session produced since that
+        rollup's previous feed (a fresh rollup takes the whole session).
+
+        Reads the live stream in place, or the final result once the
+        session has left (the same streams, so the rollup's cursors carry
+        over).  ``None`` while the session is not yet live.
+        """
         if self.result is not None:
-            return self.result
+            res = self.result
+            return rollup.update(
+                res.node_results,
+                [(shard, res.pacer_stats[si]) for si, shard in enumerate(res.shards)],
+                res.stage_budgets,
+                final=True,
+            )
         if self.stream is not None:
-            return self.stream.finalize()
+            stream = self.stream
+            return rollup.update(
+                stream.node_results,
+                list(zip(stream.scheduler.shards, stream.pacers)),
+                stream.stage_budgets,
+            )
         return None
+
+    def health(self) -> FleetRollup | None:
+        """The session's warm health rollup, caught up to now.
+
+        Costs the frames, pacer records and budgets produced since the
+        previous call; nothing is paid per step in between.
+        """
+        return self.feed(self._rollup)
 
     # Lifecycle transitions are driven by the SessionManager so the shared
     # resources (pool slots, capacity) stay consistent; sessions only hold

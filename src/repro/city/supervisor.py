@@ -42,7 +42,7 @@ from typing import Callable, Mapping
 from repro.stream.pacer import PacerConfig
 from repro.stream.pool import ShardWorkerPool, WorkerCrashed
 
-from repro.city.report import CityReport, city_report, city_report_json
+from repro.city.report import CityReport, CityRollup, city_report, city_report_json
 from repro.city.scenario import CityScenario, corridor_rngs
 from repro.city.session import DRAINING, LIVE, SUBMITTED, CitySession, SessionManager
 
@@ -103,7 +103,12 @@ class CitySupervisor:
         (and on the final step), append one line to ``snapshot_path`` —
         the JSON projection of :meth:`report` plus the step index — so a
         long soak leaves a queryable JSONL history instead of only a final
-        rollup.  ``snapshot_path`` alone snapshots every step.
+        rollup.  ``snapshot_path`` alone snapshots every step.  A snapshot
+        costs the frames, pacer records and budgets produced since the
+        previous one plus the provisional merge tail (see
+        :mod:`repro.city.report`), not the sessions' whole history; steps
+        between snapshots pay nothing for it.  A row's overrun alerts over
+        that tail may still change in later rows.
     """
 
     def __init__(
@@ -137,6 +142,7 @@ class CitySupervisor:
         rngs = corridor_rngs(scenario)
         for spec in scenario.corridors:
             self.manager.submit(spec, scenario, rngs[spec.corridor_id])
+        self._health = CityRollup(self.manager.sessions.values())
         self._step = 0
         self._closed = False
 
@@ -206,7 +212,11 @@ class CitySupervisor:
         )
 
     def _snapshot(self, idx: int) -> None:
-        """Append one JSONL health line (step index + city report)."""
+        """Append one JSONL health line (step index + city report).
+
+        Incremental: the warm rollups consume only what arrived since the
+        previous snapshot (plus the provisional merge tail).
+        """
         row = {"step": idx, **city_report_json(self.report())}
         with open(self.snapshot_path, "a", encoding="utf-8") as f:
             f.write(json.dumps(row) + "\n")
@@ -247,10 +257,11 @@ class CitySupervisor:
         return self.report()
 
     def report(self) -> CityReport:
-        """City-wide health rollup over every session, live or left."""
+        """City-wide health rollup over every session, live or left (warm:
+        costs what the sessions produced since the previous report)."""
         pool = self.manager.pool
         return city_report(
-            self.manager.sessions.values(),
+            self._health,
             n_worker_restarts=self.manager.n_worker_restarts,
             pool_workers=pool.workers if pool is not None else 0,
         )

@@ -666,15 +666,11 @@ def _cmd_city(args) -> int:
                 f"({result.n_live} live)")
         if args.status_every and (result.step_index + 1) % args.status_every == 0:
             # Live per-session latency line: each live corridor's
-            # detect-to-update p95 so far.
+            # detect-to-update p95 so far, from its warm health rollup.
             parts = []
             for session in supervisor.manager.live():
-                snap = session.snapshot()
-                if snap is None or snap.detect_to_update is None:
-                    continue
-                parts.append(
-                    f"{session.corridor_id} p95 {snap.detect_to_update.p95_s * 1e3:.1f} ms"
-                )
+                d2u = session.health().detect_to_update(session.stream.d2u_deadline_s)
+                parts.append(f"{session.corridor_id} p95 {d2u.p95_s * 1e3:.1f} ms")
             if parts:
                 say(f"  [step {result.step_index:>3}] " + " | ".join(parts))
 

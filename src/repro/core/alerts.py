@@ -18,6 +18,7 @@ so.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -95,7 +96,8 @@ class AlertPolicy:
         self._consec_on = 0
         self._consec_off = 0
         self._active_label: str | None = None
-        self._confidences: list[float] = []
+        # Only the trend window is ever read, so that is all a long session keeps.
+        self._confidences: deque[float] = deque(maxlen=self.trend_window)
 
     @property
     def active(self) -> bool:
@@ -107,20 +109,25 @@ class AlertPolicy:
         self._consec_on = 0
         self._consec_off = 0
         self._active_label = None
-        self._confidences = []
+        self._confidences.clear()
 
     def _trend(self) -> bool | None:
         if len(self._confidences) < self.trend_window:
             return None
-        window = np.asarray(self._confidences[-self.trend_window :])
+        window = np.asarray(self._confidences)
         t = np.arange(window.size)
         slope = float(np.polyfit(t, window, 1)[0])
         if abs(slope) < self.trend_threshold:
             return None
         return slope > 0
 
-    def update(self, result: FrameResult) -> Alert | None:
-        """Feed one pipeline frame; returns an alert transition or None."""
+    def _step(self, result: FrameResult) -> tuple[str, str] | None:
+        """Advance the debounce by one frame; returns the ``(kind, label)``
+        of the transition it caused, or ``None``.
+
+        The state machine behind :meth:`update` and :meth:`process`, without
+        building the :class:`Alert` (whose trend fit dominates the cost).
+        """
         detected = result.detected and is_emergency(result.label)
         if detected:
             self._consec_on += 1
@@ -133,28 +140,35 @@ class AlertPolicy:
         if self._active_label is None:
             if self._consec_on >= self.on_frames:
                 self._active_label = result.label
-                return Alert(
-                    "raised", result.label, result.frame_index, result.azimuth, self._trend()
-                )
+                return "raised", result.label
             return None
 
         if self._consec_off >= self.off_frames:
             label = self._active_label
             self.reset()
-            return Alert("cleared", label, result.frame_index, result.azimuth, None)
+            return "cleared", label
         if detected:
-            return Alert(
-                "updated", self._active_label, result.frame_index, result.azimuth, self._trend()
-            )
+            return "updated", self._active_label
         return None
 
+    def _alert(self, result: FrameResult, kind: str, label: str) -> Alert:
+        approaching = None if kind == "cleared" else self._trend()
+        return Alert(kind, label, result.frame_index, result.azimuth, approaching)
+
+    def update(self, result: FrameResult) -> Alert | None:
+        """Feed one pipeline frame; returns an alert transition or None."""
+        transition = self._step(result)
+        return None if transition is None else self._alert(result, *transition)
+
     def process(self, results: list[FrameResult]) -> list[Alert]:
-        """Run the policy over a full result stream, returning transitions."""
+        """Run the policy over a full result stream, returning the
+        ``raised`` and ``cleared`` transitions (``updated`` ones are
+        stepped through but never built)."""
         out = []
         for r in results:
-            alert = self.update(r)
-            if alert is not None and alert.kind in ("raised", "cleared"):
-                out.append(alert)
+            transition = self._step(r)
+            if transition is not None and transition[0] in ("raised", "cleared"):
+                out.append(self._alert(r, *transition))
         return out
 
 

@@ -10,10 +10,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["LatencyStats", "measure_latency", "realtime_ok", "LatencyMonitor"]
+__all__ = [
+    "LatencyStats",
+    "measure_latency",
+    "realtime_ok",
+    "LatencyMonitor",
+    "latency_stats_ms",
+    "monitor_stats",
+]
 
 
 @dataclass(frozen=True)
@@ -85,7 +93,10 @@ class LatencyMonitor:
         if deadline_s <= 0:
             raise ValueError("deadline must be positive")
         self.deadline_s = float(deadline_s)
-        self._samples: list[float] = []
+        # Float buffer grown by doubling: reading the samples (stats, health
+        # snapshots) costs no per-sample conversion however long the run.
+        self._buf = np.empty(64)
+        self._n = 0
         self._t0: float | None = None
 
     def tick_start(self) -> None:
@@ -110,26 +121,79 @@ class LatencyMonitor:
         """
         if duration_s < 0:
             raise ValueError("duration must be non-negative")
-        self._samples.append(float(duration_s))
+        if self._n == self._buf.size:
+            self._buf = np.concatenate([self._buf, np.empty(self._buf.size)])
+        self._buf[self._n] = duration_s
+        self._n += 1
+
+    @property
+    def samples(self) -> np.ndarray:
+        """Every recorded tick duration, seconds, in order (a view)."""
+        return self._buf[: self._n]
 
     @property
     def n_ticks(self) -> int:
         """Recorded tick count."""
-        return len(self._samples)
+        return self._n
 
     @property
     def misses(self) -> int:
         """Ticks that exceeded the deadline."""
-        return sum(1 for s in self._samples if s > self.deadline_s)
+        return int(np.count_nonzero(self.samples > self.deadline_s))
 
     def stats(self) -> LatencyStats:
         """Distribution summary of everything recorded so far."""
-        if not self._samples:
+        if not self._n:
             raise RuntimeError("no ticks recorded")
-        arr = np.asarray(self._samples)
+        arr = self.samples
         return LatencyStats(
             mean_s=float(arr.mean()),
             p95_s=float(np.percentile(arr, 95)),
             max_s=float(arr.max()),
             deadline_s=self.deadline_s,
         )
+
+
+def latency_stats_ms(samples_ms: np.ndarray, deadline_s: float) -> LatencyStats:
+    """Exact mean / p95 / max of millisecond samples (zeros when empty)."""
+    if not samples_ms.size:
+        return LatencyStats(mean_s=0.0, p95_s=0.0, max_s=0.0, deadline_s=deadline_s)
+    vals = samples_ms / 1e3
+    return LatencyStats(
+        mean_s=float(vals.mean()),
+        p95_s=float(np.percentile(vals, 95)),
+        max_s=float(vals.max()),
+        deadline_s=deadline_s,
+    )
+
+
+def monitor_stats(monitors: Sequence[LatencyMonitor]) -> list[LatencyStats]:
+    """Every monitor's :meth:`~LatencyMonitor.stats` (zeros before its first
+    tick), with one vectorized reduction per distinct tick count.
+
+    Values equal the one-by-one calls: numpy reduces each row of a 2-D
+    array exactly as it reduces the row alone, and only the per-call
+    overhead — which dominates for the few-hundred-sample monitors of a
+    live session — is shared.
+    """
+    out: list[LatencyStats | None] = [None] * len(monitors)
+    groups: dict[int, list[int]] = {}
+    for i, monitor in enumerate(monitors):
+        groups.setdefault(monitor.n_ticks, []).append(i)
+    for n_ticks, idx in groups.items():
+        if n_ticks == 0:
+            for i in idx:
+                out[i] = LatencyStats(
+                    mean_s=0.0, p95_s=0.0, max_s=0.0, deadline_s=monitors[i].deadline_s
+                )
+            continue
+        arr = np.stack([monitors[i].samples for i in idx])
+        mean, p95, peak = arr.mean(axis=1), np.percentile(arr, 95, axis=1), arr.max(axis=1)
+        for row, i in enumerate(idx):
+            out[i] = LatencyStats(
+                mean_s=float(mean[row]),
+                p95_s=float(p95[row]),
+                max_s=float(peak[row]),
+                deadline_s=monitors[i].deadline_s,
+            )
+    return out

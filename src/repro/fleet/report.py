@@ -6,27 +6,35 @@ vehicle entered and left the corridor, how fast it was going (from the
 track slope), and whether every node is healthy — detecting, alerting
 (via the existing :class:`repro.core.alerts.AlertPolicy` hysteresis) and
 meeting its real-time budget.
+
+The health side is incremental: a :class:`FleetRollup` keeps cursors into
+the run's append-only streams and consumes only what arrived since its
+previous update, so a live session's health can be re-read every few steps
+at a cost proportional to the new steps, not to the session's history.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.alerts import AlertPolicy, OverrunPolicy
+from repro.core.alerts import AlertPolicy, BudgetAlert, OverrunPolicy
 from repro.core.pipeline import FrameResult
-from repro.core.realtime import LatencyStats
+from repro.core.realtime import LatencyStats, latency_stats_ms
 from repro.fleet.corridor import CorridorNode
 from repro.fleet.fusion import FusedTrack, TrackUpdate, bearing_only_positions
 from repro.fleet.scheduler import FleetRunResult
-from repro.stream.pacer import PacerStats
+from repro.stream.budget import StageBudget
+from repro.stream.pacer import Pacer, PacerStats
 
 __all__ = [
     "CorridorEvent",
     "NodeHealth",
     "FleetReport",
+    "FleetRollup",
     "fleet_report",
     "format_report",
     "format_track_update",
@@ -142,6 +150,221 @@ def _track_speed(track: FusedTrack, frame_period: float) -> float:
     return float(np.median(v))
 
 
+def _stepwise_worst(
+    streams: Sequence[Sequence[Sequence[float]]],
+) -> list[tuple[float, float]]:
+    """Fold per-step ``(duration, budget, ...)`` record streams into one.
+
+    At each step index the rollup takes the *max* duration against the
+    *min* budget over every stream that reached that step — the
+    conservative "slowest member vs tightest deadline" view used for both
+    the per-corridor (over shards) and city-level (over corridors)
+    debounce passes.  Ragged streams contribute for as long as they ran.
+    Slicing every stream ``[a:b]`` yields merged steps ``a .. b-1``.
+    """
+    if len(streams) == 1:
+        return [(r[0], r[1]) for r in streams[0]]
+    n = max((len(s) for s in streams), default=0)
+    out: list[tuple[float, float]] = []
+    for i in range(n):
+        rows = [s[i] for s in streams if i < len(s)]
+        out.append((max([r[0] for r in rows]), min([r[1] for r in rows])))
+    return out
+
+
+class _NodeRollup:
+    """One node's cursor, running counts and alert debounce."""
+
+    __slots__ = ("policy", "n_frames", "n_detections", "n_alerts", "shard")
+
+    def __init__(self, policy) -> None:
+        self.policy = policy
+        self.n_frames = 0  # cursor into the node's results
+        self.n_detections = 0
+        self.n_alerts = 0
+        self.shard: _ShardRollup | None = None
+
+
+class _ShardRollup:
+    """One pacer record stream (a shard's, shared by its nodes)."""
+
+    __slots__ = ("pacer", "policy", "n_records", "n_alerts")
+
+    def __init__(self, pacer, policy) -> None:
+        self.pacer = pacer  # Pacer (live) or PacerStats (final)
+        self.policy = policy
+        self.n_records = 0  # cursor into pacer.records
+        self.n_alerts = 0
+
+
+class FleetRollup:
+    """Incremental node and corridor health of one fleet run.
+
+    A run only ever *appends* to its streams: each node's
+    :class:`~repro.core.pipeline.FrameResult` list, each shard pacer's
+    ``records`` and the session's :class:`~repro.stream.budget.StageBudget`
+    list.  The rollup keeps a cursor into every stream and each
+    :meth:`update` consumes only what arrived since the previous one: the
+    per-node :class:`~repro.core.alerts.AlertPolicy` and per-shard
+    :class:`~repro.core.alerts.OverrunPolicy` debounces advance over the
+    new rows, frame and detection counts run on, and the new
+    detect-to-update samples join a float array (percentiles stay exact:
+    numpy over every retained sample).
+
+    The corridor's debounce runs over the step-wise worst shard
+    (:func:`_stepwise_worst`), which is index-aligned across ragged shard
+    streams: merged step ``i`` is final only once every shard has recorded
+    it (or the run is final).  The corridor policy advances over that final
+    prefix; :meth:`corridor_alerts` replays the provisional tail on a copy.
+
+    :func:`fleet_report` is a fresh rollup fed a whole run once; a
+    :class:`~repro.city.session.CitySession` keeps a warm one, so a health
+    snapshot costs the steps since the previous snapshot, not the session.
+    Warm state is O(nodes + shards) besides the d2u samples.
+    """
+
+    def __init__(
+        self, *, alert_policy_factory=AlertPolicy, overrun_policy_factory=OverrunPolicy
+    ) -> None:
+        self._alert_policy_factory = alert_policy_factory
+        self._overrun_policy_factory = overrun_policy_factory
+        self._nodes: dict[str, _NodeRollup] = {}
+        self._shards: list[_ShardRollup] = []
+        self._corridor = overrun_policy_factory()
+        self._corridor_alerts: list[BudgetAlert] = []
+        # Merged steps no future record can change: the corridor debounce's input.
+        self.merged_done = 0
+        self.final = False  # the run is complete: no stream grows again
+        self._d2u = np.empty(0)
+        self._n_d2u = 0
+
+    def update(
+        self,
+        node_results: Mapping[str, Sequence[FrameResult]],
+        shard_pacers: Sequence[tuple[Sequence[str], Pacer | PacerStats]] = (),
+        budgets: Sequence[StageBudget] = (),
+        *,
+        final: bool = False,
+    ) -> "FleetRollup":
+        """Consume what the run's streams gained since the previous update.
+
+        ``node_results`` maps node id to its result list; ``shard_pacers``
+        pairs each shard's node ids with its pacer accounting — a live
+        :class:`~repro.stream.pacer.Pacer` read in place, or a final
+        :class:`~repro.stream.pacer.PacerStats` (both expose ``records``,
+        ``n_overruns`` and ``max_batch_used``), in the same shard order on
+        every call.  ``final`` marks the streams complete, which settles
+        the corridor merge's ragged tail.
+        """
+        for nid, results in node_results.items():
+            node = self._nodes.get(nid)
+            if node is None:
+                node = self._nodes[nid] = _NodeRollup(self._alert_policy_factory())
+            new = results[node.n_frames :]
+            if new:
+                node.n_frames += len(new)
+                node.n_detections += sum(r.detected for r in new)
+                node.n_alerts += sum(1 for a in node.policy.process(new) if a.kind == "raised")
+        for si, (nids, pacer) in enumerate(shard_pacers):
+            if si == len(self._shards):
+                shard = _ShardRollup(pacer, self._overrun_policy_factory())
+                self._shards.append(shard)
+                for nid in nids:
+                    self._nodes[nid].shard = shard
+            shard = self._shards[si]
+            shard.pacer = pacer  # a finished session hands over its PacerStats
+            new = pacer.records[shard.n_records :]
+            if new:
+                shard.n_records += len(new)
+                shard.n_alerts += sum(
+                    1 for a in shard.policy.process(new) if a.kind == "overrun"
+                )
+        self.final = final
+        lengths = [shard.n_records for shard in self._shards]
+        done = max(lengths, default=0) if final else min(lengths, default=0)
+        if done > self.merged_done:
+            self._corridor_alerts.extend(
+                self._corridor.process(self.merged(self.merged_done, done))
+            )
+            self.merged_done = done
+        new = budgets[self._n_d2u :]
+        if new:
+            n = self._n_d2u + len(new)
+            if n > self._d2u.size:
+                grown = np.empty(max(n, 2 * self._d2u.size))
+                grown[: self._n_d2u] = self._d2u[: self._n_d2u]
+                self._d2u = grown
+            self._d2u[self._n_d2u : n] = [b.detect_to_update_ms for b in new]
+            self._n_d2u = n
+        return self
+
+    # ------------------------------------------------------------ reads
+
+    @property
+    def n_merged(self) -> int:
+        """Length of the corridor's step-wise worst stream so far."""
+        return max((shard.n_records for shard in self._shards), default=0)
+
+    def merged(self, start: int, stop: int) -> list[tuple[float, float]]:
+        """Merged corridor steps ``start .. stop-1`` (max duration, min budget)."""
+        return _stepwise_worst([shard.pacer.records[start:stop] for shard in self._shards])
+
+    def corridor_alerts(self) -> tuple[BudgetAlert, ...]:
+        """Debounced transitions over the corridor's step-wise worst shard:
+        the settled prefix's, then the provisional tail replayed on a copy
+        of the policy (the tail may still change as lagging shards record)."""
+        tail = self.merged(self.merged_done, self.n_merged)
+        if not tail:
+            return tuple(self._corridor_alerts)
+        return (*self._corridor_alerts, *copy.deepcopy(self._corridor).process(tail))
+
+    @property
+    def d2u_ms(self) -> np.ndarray:
+        """Every consumed budget's ``detect_to_update_ms``, in emission order."""
+        return self._d2u[: self._n_d2u]
+
+    def detect_to_update(self, deadline_s: float) -> LatencyStats:
+        """Exact detect-to-update distribution over every consumed budget."""
+        return latency_stats_ms(self.d2u_ms, deadline_s)
+
+    @property
+    def n_overruns(self) -> int:
+        """Raw pacer overruns summed over the shards."""
+        return sum(shard.pacer.n_overruns for shard in self._shards)
+
+    @property
+    def peak_hop_batch(self) -> int:
+        """Widest hop batch any shard's pacer reached (0 without pacers)."""
+        return max((shard.pacer.max_batch_used for shard in self._shards), default=0)
+
+    def node_health(
+        self,
+        latencies: Mapping[str, LatencyStats],
+        tap_misses: Mapping[str, int] | None = None,
+    ) -> list[NodeHealth]:
+        """One health row per node (sorted by id) from the consumed streams,
+        each node's attributed ``latencies`` and its evicted tap reads."""
+        health: list[NodeHealth] = []
+        for nid in sorted(self._nodes):
+            node, latency = self._nodes[nid], latencies[nid]
+            shard = node.shard
+            health.append(
+                NodeHealth(
+                    node_id=nid,
+                    n_frames=node.n_frames,
+                    n_detections=node.n_detections,
+                    n_alerts=node.n_alerts,
+                    latency=latency,
+                    realtime=latency.realtime,
+                    n_overruns=shard.pacer.n_overruns if shard else 0,
+                    n_overrun_alerts=shard.n_alerts if shard else 0,
+                    peak_hop_batch=shard.pacer.max_batch_used if shard else 0,
+                    n_tap_misses=int(tap_misses.get(nid, 0)) if tap_misses else 0,
+                )
+            )
+        return health
+
+
 def fleet_report(
     tracks: Sequence[FusedTrack],
     run: FleetRunResult,
@@ -160,10 +383,20 @@ def fleet_report(
     health row: the raw overrun count, the *debounced* overrun alerts from
     :class:`~repro.core.alerts.OverrunPolicy`, and the widest hop batch the
     backpressure reached.  ``tap_misses`` (``node_id -> count``) folds in
-    each node's evicted sample-tap reads the same way.
+    each node's evicted sample-tap reads the same way.  The health rows
+    come from a fresh :class:`FleetRollup` fed the whole run once.
     """
     if frame_period <= 0:
         raise ValueError("frame_period must be positive")
+    pacer_stats = pacer_stats or {}
+    rollup = FleetRollup(
+        alert_policy_factory=alert_policy_factory,
+        overrun_policy_factory=overrun_policy_factory,
+    ).update(
+        {nid: run.node_results[nid] for nid in run.node_stats},
+        [((nid,), pacer_stats[nid]) for nid in run.node_stats if nid in pacer_stats],
+        final=True,
+    )
     confirmed = [t for t in tracks if t.confirmed and t.history]
     events: list[CorridorEvent] = []
     for track in confirmed:
@@ -196,37 +429,12 @@ def fleet_report(
             )
         )
     events.sort(key=lambda e: (e.frame_index, e.kind))
-
-    health: list[NodeHealth] = []
-    for node_id, stats in sorted(run.node_stats.items()):
-        results = run.node_results[node_id]
-        alerts = alert_policy_factory().process(list(results))
-        n_alerts = sum(1 for a in alerts if a.kind == "raised")
-        n_overruns = n_overrun_alerts = peak_hop_batch = 0
-        if pacer_stats is not None and node_id in pacer_stats:
-            ps = pacer_stats[node_id]
-            n_overruns = ps.n_overruns
-            peak_hop_batch = ps.max_batch_used
-            transitions = overrun_policy_factory().process(ps.records)
-            n_overrun_alerts = sum(1 for a in transitions if a.kind == "overrun")
-        health.append(
-            NodeHealth(
-                node_id=node_id,
-                n_frames=stats.n_frames,
-                n_detections=stats.n_detections,
-                n_alerts=n_alerts,
-                latency=stats.latency,
-                realtime=stats.latency.realtime,
-                n_overruns=n_overruns,
-                n_overrun_alerts=n_overrun_alerts,
-                peak_hop_batch=peak_hop_batch,
-                n_tap_misses=int(tap_misses.get(node_id, 0)) if tap_misses else 0,
-            )
-        )
     return FleetReport(
         events=events,
         tracks=confirmed,
-        node_health=health,
+        node_health=rollup.node_health(
+            {nid: stats.latency for nid, stats in run.node_stats.items()}, tap_misses
+        ),
         frame_period=frame_period,
     )
 

@@ -11,6 +11,8 @@ and wide-baseline TDOA estimation stop re-transforming the same frames.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.fft as _fft
 
@@ -78,6 +80,20 @@ def _pair_cross(whitened: np.ndarray, pairs: list[tuple[int, int]]) -> np.ndarra
             whitened[..., i, :], np.conj(whitened[..., j, :]), out=out[..., p, :]
         )
     return out
+
+
+@functools.lru_cache(maxsize=8)
+def _periodic_hann_bytes(dtype: str, raw: bytes) -> bool:
+    """Whether a 1-D window (given by dtype and bytes) is a periodic Hann.
+
+    Memoized by content: a pipeline asks about the same window on every
+    primed block, and the cosine table plus ``allclose`` cost more than the
+    derivation they gate.
+    """
+    window = np.frombuffer(raw, dtype=dtype)
+    n = window.shape[0]
+    t = np.arange(n) / n
+    return bool(np.allclose(window, 0.5 - 0.5 * np.cos(2 * np.pi * t), atol=1e-12))
 
 
 def _all_pairs(n_mics: int) -> list[tuple[int, int]]:
@@ -284,7 +300,7 @@ class SpectraCache:
             return self._windowed_power[key]
         length = self.frame_length
         raw2 = self._raw.get(2 * length)
-        if raw2 is not None and self._is_periodic_hann(window):
+        if raw2 is not None and _periodic_hann_bytes(window.dtype.str, key[0]):
             x = raw2[:, mic, ::2]  # X_L[k] = X_2L[2k], k = 0 .. L/2
             inner = x[:, :-2] + x[:, 2:]  # X_L[k-1] + X_L[k+1] for 1 <= k <= L/2-1
             y = 0.5 * x.copy()
@@ -301,9 +317,8 @@ class SpectraCache:
 
     @staticmethod
     def _is_periodic_hann(window: np.ndarray) -> bool:
-        n = window.shape[0]
-        t = np.arange(n) / n
-        return bool(np.allclose(window, 0.5 - 0.5 * np.cos(2 * np.pi * t), atol=1e-12))
+        window = np.asarray(window)
+        return _periodic_hann_bytes(window.dtype.str, window.tobytes())
 
     # ------------------------------------------------------------- selection
 

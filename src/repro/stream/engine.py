@@ -49,12 +49,18 @@ class IngestStats:
         Delivered chunks whose delivery latency exceeded the tolerance.
     dropped_samples:
         Samples overwritten by ring overruns (consumer fell behind).
+    n_stale_chunks:
+        Delivered chunks discarded because their sequence number was
+        already ingested or zero-filled past — duplicates, or reordered
+        chunks arriving after their gap was filled.  Ingesting them would
+        shift every later hop off the capture grid.
     """
 
     n_chunks: int
     n_dropped_chunks: int
     n_late_chunks: int
     dropped_samples: int
+    n_stale_chunks: int = 0
 
 
 class NodeIngest:
@@ -124,6 +130,7 @@ class NodeIngest:
         self.n_chunks = 0
         self.n_dropped_chunks = 0
         self.n_late_chunks = 0
+        self.n_stale_chunks = 0
 
     @property
     def exhausted(self) -> bool:
@@ -138,6 +145,7 @@ class NodeIngest:
             n_dropped_chunks=self.n_dropped_chunks,
             n_late_chunks=self.n_late_chunks,
             dropped_samples=self.ring.dropped_samples,
+            n_stale_chunks=self.n_stale_chunks,
         )
 
     def pull(self, until_s: float | None = None) -> int:
@@ -149,7 +157,9 @@ class NodeIngest:
         frames to later steps exactly as a slow driver would.  Sequence gaps
         are zero-filled — a dropped chunk must not slip the hop grid of
         everything after it — and counted; delivery latency beyond the
-        tolerance marks a chunk late.
+        tolerance marks a chunk late.  A chunk whose sequence number is
+        behind the grid (a duplicate, or one reordered past its zero-filled
+        slot) is discarded and counted as stale, for the same reason.
         """
         ingested = 0
         while True:
@@ -164,6 +174,9 @@ class NodeIngest:
             if until_s is not None and max(chunk.t, chunk.arrival_s) > until_s:
                 break  # not yet delivered at this engine time
             self._pending = None
+            if chunk.seq < self._next_seq:
+                self.n_stale_chunks += 1
+                continue
             if self._chunk_samples is None:
                 self._chunk_samples = getattr(
                     self.source, "chunk_samples", chunk.data.shape[1]

@@ -300,6 +300,17 @@ class Pacer:
         """Current effective hop batch (what the next step should advance)."""
         return self._batch
 
+    @property
+    def records(self) -> list[tuple[float, float, int]]:
+        """The per-step ``(wall_s, budget_s, batch)`` records so far, read in
+        place (append-only; do not mutate).  :meth:`stats` copies them."""
+        return self._records
+
+    @property
+    def max_batch_used(self) -> int:
+        """Widest effective hop batch reached so far."""
+        return self._max_used
+
     def wait(self, next_stream_t: float) -> float:
         """Sleep (monotonic clock) until stream time ``next_stream_t`` is
         due; returns the seconds slept.  No-op when pacing is off.

@@ -60,7 +60,7 @@ import numpy as np
 
 from repro.acoustics.geometry import SPEED_OF_SOUND
 from repro.core.pipeline import FrameResult
-from repro.core.realtime import LatencyMonitor, LatencyStats
+from repro.core.realtime import LatencyMonitor, LatencyStats, latency_stats_ms, monitor_stats
 from repro.fleet.fusion import (
     FusionConfig,
     FusedTrack,
@@ -552,6 +552,46 @@ class ParallelFleetStream:
         """Each shard's current effective hop batch (pacer-governed)."""
         return [p.batch for p in self._pacers]
 
+    # Read-in-place accessors: what finalize() summarizes, readable
+    # mid-run without copying the session's history (health rollups poll
+    # these between steps).
+
+    @property
+    def pacers(self) -> list[Pacer]:
+        """Each shard's pacer, in shard order (read in place)."""
+        return self._pacers
+
+    def latency_monitors(self) -> list[LatencyMonitor]:
+        """The per-hop fleet-step monitor, then each node's attributed
+        per-hop processing monitor in ``node_order`` (read in place; see
+        :func:`~repro.core.realtime.monitor_stats`)."""
+        return [self.hop_monitor, *(self._node_monitors[nid] for nid in self.node_order)]
+
+    @property
+    def d2u_deadline_s(self) -> float:
+        """Nominal end-to-end budget: one hop batch of delivery delay plus
+        one hop of processing."""
+        return (self.hop_batch + 1) * self.scheduler.config.frame_period_s
+
+    def sched_stats(self) -> dict:
+        """Pool-scheduling accounting of this session (zeros in-process)."""
+        if self._pool is not None:
+            return self._pool.session_stats(self.session_id)
+        return {
+            "n_steals": 0,
+            "n_migrations": 0,
+            "queue_depth_p95": 0.0,
+            "n_slab_replies": 0,
+            "n_pipe_fallbacks": 0,
+        }
+
+    @property
+    def tap_misses(self) -> dict[str, int]:
+        """Per-node evicted sample-tap reads (empty without taps)."""
+        if self.taps is None:
+            return {}
+        return {nid: tap.n_misses for nid, tap in self.taps.items()}
+
     def step(self) -> "FleetStepResult":
         """Advance every shard by its pacer's hop batch and fuse the frontier.
 
@@ -678,63 +718,27 @@ class ParallelFleetStream:
         from repro.fleet.scheduler import NodeRunStats
 
         cfg = self.scheduler.config
-        node_stats = {}
-        for nid in self.node_order:
-            monitor = self._node_monitors[nid]
-            if monitor.n_ticks == 0:
-                latency = LatencyStats(
-                    mean_s=0.0, p95_s=0.0, max_s=0.0, deadline_s=monitor.deadline_s
-                )
-            else:
-                latency = monitor.stats()
-            node_stats[nid] = NodeRunStats(
+        hop_latency, *node_latency = monitor_stats(self.latency_monitors())
+        node_stats = {
+            nid: NodeRunStats(
                 node_id=nid,
                 n_frames=len(self._results[nid]),
                 n_detections=sum(r.detected for r in self._results[nid]),
                 latency=latency,
             )
+            for nid, latency in zip(self.node_order, node_latency)
+        }
         deadline = max(
             (ing.ring.total_pushed / cfg.fs for ing in self._ingest.values()),
             default=cfg.frame_period_s,
         )
         fleet_monitor = LatencyMonitor(max(deadline, 1e-9))
         fleet_monitor.record(self._wall)
-        if self.hop_monitor.n_ticks == 0:
-            hop_latency = LatencyStats(
-                mean_s=0.0, p95_s=0.0, max_s=0.0, deadline_s=self.hop_monitor.deadline_s
-            )
-        else:
-            hop_latency = self.hop_monitor.stats()
-        # Nominal end-to-end budget: one hop batch of delivery delay plus
-        # one hop of processing.
-        d2u_deadline = (self.hop_batch + 1) * cfg.frame_period_s
-        if self.stage_budgets:
-            vals = np.asarray([b.detect_to_update_ms for b in self.stage_budgets]) / 1e3
-            detect_to_update = LatencyStats(
-                mean_s=float(vals.mean()),
-                p95_s=float(np.percentile(vals, 95)),
-                max_s=float(vals.max()),
-                deadline_s=d2u_deadline,
-            )
-        else:
-            detect_to_update = LatencyStats(
-                mean_s=0.0, p95_s=0.0, max_s=0.0, deadline_s=d2u_deadline
-            )
-        if self._pool is not None:
-            sched = self._pool.session_stats(self.session_id)
-        else:
-            sched = {
-                "n_steals": 0,
-                "n_migrations": 0,
-                "queue_depth_p95": 0.0,
-                "n_slab_replies": 0,
-                "n_pipe_fallbacks": 0,
-            }
-        tap_misses = (
-            {nid: tap.n_misses for nid, tap in self.taps.items()}
-            if self.taps is not None
-            else {}
+        detect_to_update = latency_stats_ms(
+            np.asarray([b.detect_to_update_ms for b in self.stage_budgets], dtype=np.float64),
+            self.d2u_deadline_s,
         )
+        sched = self.sched_stats()
         return ParallelStreamResult(
             node_results=self.node_results,
             node_stats=node_stats,
@@ -750,7 +754,7 @@ class ParallelFleetStream:
             pacer_stats={si: p.stats() for si, p in enumerate(self._pacers)},
             stage_budgets=tuple(self.stage_budgets),
             detect_to_update=detect_to_update,
-            tap_misses=tap_misses,
+            tap_misses=self.tap_misses,
             n_steals=sched["n_steals"],
             n_migrations=sched["n_migrations"],
             queue_depth_p95=sched["queue_depth_p95"],

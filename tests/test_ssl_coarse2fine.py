@@ -119,6 +119,20 @@ class TestSpectraCacheCoherence:
             primed.cross_spectra(1024), gcc_phat_spectra(frames, n_fft=1024)
         )
 
+    def test_periodic_hann_decided_once_per_window(self):
+        from repro.ssl.gcc import _periodic_hann_bytes
+
+        frames = np.random.default_rng(6).standard_normal((3, 2, 512))
+        win = get_window("hann", 512)
+        SpectraCache(frames).prime_dense(1024, win)
+        before = _periodic_hann_bytes.cache_info()
+        for _ in range(3):  # every later primed block reuses the decision
+            SpectraCache(frames).prime_dense(1024, win)
+        after = _periodic_hann_bytes.cache_info()
+        assert (after.misses, after.hits) == (before.misses, before.hits + 3)
+        assert SpectraCache._is_periodic_hann(win)
+        assert not SpectraCache._is_periodic_hann(np.hanning(512))  # symmetric
+
     def test_float32_cache_close_to_float64(self):
         rng = np.random.default_rng(5)
         frames = rng.standard_normal((4, 4, 256))

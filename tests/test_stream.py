@@ -245,6 +245,62 @@ class TestNodeIngest:
         assert ingest.pull(256 / 8000.0) == 0  # captured, but not yet delivered
         assert ingest.pull(0.5 + 256 / 8000.0) == 1  # arrives half a second later
 
+    def test_reordered_chunk_is_dropped_and_keeps_hop_grid(self):
+        """Delivery order (0, 2, 1, 3, ...): chunk 1 arrives after its gap
+        was zero-filled.  Pushing it then would shift every later hop by a
+        chunk; it is discarded and counted instead."""
+        x = np.random.default_rng(16).standard_normal((2, 256 * 12))
+        order = [0, 2, 1] + list(range(3, 12))
+        ingest = NodeIngest(OrderedSource(x, 8000.0, order, chunk_samples=256), 512, 256)
+        ingest.pull(None)
+        s = ingest.stats
+        assert (s.n_chunks, s.n_dropped_chunks, s.n_stale_chunks) == (11, 1, 1)
+        frames = ingest.pop_frames(None)
+        expected = frame_signals(x, 512, 256, pad=False).transpose(1, 0, 2)
+        assert frames.shape == expected.shape
+        # Frame k starts at chunk k: from chunk 2 on, hop index == capture index.
+        assert np.array_equal(frames[2:], expected[2:])
+        assert np.array_equal(frames[1, :, :256], np.zeros((2, 256)))
+
+    def test_duplicate_chunk_changes_nothing_but_its_counter(self):
+        cfg = PipelineConfig(n_azimuth=24, n_elevation=2)
+        sig = np.random.default_rng(17).standard_normal((4, 256 * 24))
+        order = [0, 1, 2, 3, 3] + list(range(4, 24))
+
+        def run(source):
+            sp = StreamPipeline(MICS, cfg, hop_batch=4)
+            sp.pipeline.detector = AcousticPerceptionPipeline(MICS, cfg).detector
+            return sp.run(source)
+
+        clean = run(RecordingChunkSource(sig, cfg.fs, chunk_samples=cfg.hop_length))
+        dup = run(OrderedSource(sig, cfg.fs, order, chunk_samples=cfg.hop_length))
+        assert dup.ingest.n_stale_chunks == 1
+        assert dup.ingest.n_dropped_chunks == clean.ingest.n_dropped_chunks == 0
+        assert dup.ingest.n_chunks == clean.ingest.n_chunks
+        assert len(dup.results) == len(clean.results)
+        for a, b in zip(dup.results, clean.results):
+            assert (a.frame_index, a.label, a.detected) == (b.frame_index, b.label, b.detected)
+            assert np.array_equal(
+                [a.confidence, a.azimuth, a.elevation],
+                [b.confidence, b.azimuth, b.elevation],
+                equal_nan=True,
+            )
+
+
+class OrderedSource(RecordingChunkSource):
+    """Delivers a recording's chunks in a given sequence order (indices may
+    repeat or go backwards) — a misbehaving driver."""
+
+    def __init__(self, signals, fs, order, *, chunk_samples):
+        super().__init__(signals, fs, chunk_samples=chunk_samples)
+        clean = []
+        while (c := super().next_chunk()) is not None:
+            clean.append(c)
+        self._queue = [clean[i] for i in order]
+
+    def next_chunk(self):
+        return self._queue.pop(0) if self._queue else None
+
 
 class TestStreamPipeline:
     def config(self):
