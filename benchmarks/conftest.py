@@ -12,14 +12,18 @@ Without ``--bench-json`` no file is written: a plain ``pytest`` run checks
 the benches but leaves the trail alone.
 """
 
+import functools
 import json
 import os
+import platform
+import subprocess
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 _BENCH_ROWS: list[dict] = []
+_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _blas_threads() -> int:
@@ -33,6 +37,50 @@ def _blas_threads() -> int:
             except ValueError:
                 continue
     return os.cpu_count() or 1
+
+
+@functools.lru_cache(maxsize=None)
+def _cpu_model() -> str:
+    """The CPU's marketing name (``model name`` in /proc/cpuinfo)."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+@functools.lru_cache(maxsize=None)
+def _git_sha(root: Path = _ROOT) -> str | None:
+    """HEAD of the checkout at ``root``; None when it is not one (the
+    search stops at ``root`` instead of climbing into an enclosing repo)."""
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(root.parent))
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=root,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=10,
+            check=False,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def bench_row(bench: str, wall_ms: float, speedup: float, **extra: float) -> dict:
+    """One trail row: the figures plus the machine and commit behind them."""
+    row = {"bench": str(bench), "wall_ms": float(wall_ms), "speedup": float(speedup)}
+    row.update({k: float(v) for k, v in extra.items()})
+    row["cpu_count"] = os.cpu_count() or 1
+    row["blas_threads"] = _blas_threads()
+    row["cpu_model"] = _cpu_model()
+    row["git_sha"] = _git_sha()
+    return row
 
 
 def pytest_addoption(parser):
@@ -93,18 +141,15 @@ def bench_json():
     can pin per-hop latency the same way ``--bench-min-speedup`` pins
     throughput.
 
-    Every row also records its hardware context — ``cpu_count`` and the
-    effective ``blas_threads`` setting — because a speedup (especially the
-    process-parallel E16 rows) is meaningless without knowing how many
-    cores it had to work with.
+    Every row also records its context (see :func:`bench_row`) —
+    ``cpu_count``, the effective ``blas_threads`` setting, ``cpu_model``
+    and the checkout's ``git_sha`` (None outside a checkout) — because a
+    speedup (especially the process-parallel E16 rows) is meaningless
+    without knowing which code ran on how many of which cores.
     """
 
     def record(bench: str, wall_ms: float, speedup: float, **extra: float) -> None:
-        row = {"bench": str(bench), "wall_ms": float(wall_ms), "speedup": float(speedup)}
-        row.update({k: float(v) for k, v in extra.items()})
-        row["cpu_count"] = os.cpu_count() or 1
-        row["blas_threads"] = _blas_threads()
-        _BENCH_ROWS.append(row)
+        _BENCH_ROWS.append(bench_row(bench, wall_ms, speedup, **extra))
 
     return record
 

@@ -133,7 +133,6 @@ def _standalone_signature(spec, scenario):
     ) as session:
         result = session.run()
     wall_ms = (time.perf_counter() - t0) * 1e3
-    sched.close()
     return wall_ms, _track_signature(result.tracks), len(result.updates)
 
 

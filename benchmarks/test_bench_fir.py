@@ -315,7 +315,6 @@ def test_e20_incremental_full_physics_stream(corridor_scene, bench_json):
 
     run()  # warmup: steering pyramids, filter banks, FFT plans
     result = run()
-    scheduler.close()
 
     hop = result.hop_latency
     wall_ms = result.fleet_latency.mean_s * 1e3

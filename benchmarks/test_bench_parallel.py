@@ -1,16 +1,16 @@
 """E16/E18 — process-parallel fleet runtime: speedup and detect-to-update p95.
 
-E15 pinned the *serial* streaming corridor's per-hop latency; E16 measures
-what moving each shard's kernel pass into a forked worker process buys.
-The 4-node dense corridor (oracle detector: every hop localizes) runs once
-through the serial :class:`FleetStream` baseline and then through
-:class:`ParallelFleetStream` at 1, 2 and 4 workers, all on the same scene.
-The claims asserted:
+E15 pinned the in-process streaming corridor's per-hop latency; E16
+measures what moving each shard's kernel pass into a forked worker process
+buys.  The 4-node dense corridor (oracle detector: every hop localizes)
+runs once through the fleet session in-process (``workers=0``, the
+baseline) and then at 1, 2 and 4 workers, all on the same scene and all
+without a pacer, i.e. at the fixed hop batch 8.  The claims asserted:
 
-1. fused corridor tracks are **bit-identical** across the serial baseline
-   and every worker count (the determinism contract of
+1. fused corridor tracks are **bit-identical** across the in-process
+   baseline and every worker count (the determinism contract of
    ``tests/test_stream_parallel.py``, re-checked on the bench scene);
-2. with >= 4 usable cores, the 4-worker session beats the serial baseline
+2. with >= 4 usable cores, the 4-worker session beats the baseline
    by at least ``MIN_SPEEDUP_4W`` (the fork + shared-memory rings must pay
    for themselves on a dense workload);
 3. every emitted update carries a stage budget, and the end-to-end
@@ -117,7 +117,7 @@ def _assert_tracks_identical(ref_tracks, tracks, label):
 def test_e16_parallel_fleet_speedup_and_budget(corridor, bench_json):
     nodes, recording = corridor
 
-    # Serial baseline (E15's runtime) on the same scheduler config.  The
+    # In-process baseline (E15's mode) on the same scheduler config.  The
     # warmup session builds the lazy steering pyramids; parallel sessions
     # fork from an equally warm parent, so the comparison is kernels-only.
     serial_sched = _scheduler(nodes)
@@ -126,7 +126,7 @@ def test_e16_parallel_fleet_speedup_and_budget(corridor, bench_json):
     serial = serial_sched.stream(_sources(recording), hop_batch=8).run()
     serial_wall_ms = (time.perf_counter() - t0) * 1e3
 
-    rows = [("serial", serial_wall_ms, 1.0, float("nan"), float("nan"))]
+    rows = [("in-process", serial_wall_ms, 1.0, float("nan"), float("nan"))]
     speedups = {}
     for workers in (1, 2, 4):
         sched = _scheduler(nodes)

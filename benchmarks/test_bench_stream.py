@@ -3,8 +3,9 @@
 The paper's Sec. II requirement is real-time low-latency operation; E13/E14
 showed the *throughput* of the offline fleet engine, E15 shows the *latency*
 of the live one: a 4-node corridor ingested through per-node ring buffers,
-advanced one hop batch per :meth:`FleetStream.step`, fused per hop.  The
-claims asserted:
+advanced one fixed hop batch per :meth:`FleetStream.step` (the fleet
+session in-process, its default ``workers=0``), fused per hop.  The claims
+asserted:
 
 1. the per-hop fleet step p95 fits the hop deadline
    (``LatencyStats.realtime``) — with the oracle detector the run is

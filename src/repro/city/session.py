@@ -249,7 +249,8 @@ class SessionManager:
         carries this many shards run in-process (degraded) instead of
         queueing the whole city behind them.
     pacer:
-        Backpressure policy applied to every session's pacers.
+        Backpressure policy applied to every session's pacers (``None``:
+        a fixed batch of the scenario's ``hop_batch``).
     steal:
         Enable work stealing on a manager-forked pool (default); ``False``
         pins shards to the worker that registered them.  Ignored when an

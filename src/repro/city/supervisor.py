@@ -95,6 +95,7 @@ class CitySupervisor:
         budgets are judged against the *shared* pool capacity (see
         :class:`~repro.stream.pacer.SharedCapacity`), so a session only
         counts as overrunning when it misses its fair share of the pool.
+        ``None`` holds every session at the scenario's ``hop_batch``.
     steal:
         Work stealing on the forked pool (default on; ``False`` restores
         static shard pinning — the E19 baseline).

@@ -42,6 +42,24 @@ import numpy as np
 __all__ = ["main", "build_parser"]
 
 
+def _int_at_least(lowest: int):
+    """argparse ``type`` for an integer flag bounded below: a bad value
+    exits 2 naming the flag, before any scene is rendered."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be >= {lowest}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's own "invalid int value" for non-ints
+    return parse
+
+
+_positive = _int_at_least(1)
+_non_negative = _int_at_least(0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
@@ -111,8 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     flt.add_argument("--localizer", choices=("srp", "srp_fast", "music"), default="srp_fast")
     flt.add_argument("--n-azimuth", type=int, default=72)
-    flt.add_argument("--shards", type=int, default=None, help="round-robin shard count")
-    flt.add_argument("--threads", action="store_true", help="process shards on a thread pool")
+    flt.add_argument("--shards", type=_positive, default=None, help="round-robin shard count")
     flt.add_argument(
         "--multilaterate",
         action="store_true",
@@ -148,29 +165,33 @@ def build_parser() -> argparse.ArgumentParser:
         "offline batch run",
     )
     flt.add_argument(
-        "--hop-batch", type=int, default=8, help="hops per fleet stream step"
+        "--hop-batch",
+        type=_positive,
+        default=8,
+        help="hops per fleet stream step (held fixed unless --pace or "
+        "--min-batch opts into adaptive pacing)",
     )
     flt.add_argument(
         "--workers",
-        type=int,
-        default=None,
-        help="run the stream through the process-parallel runtime with this "
-        "many forked shard workers over shared-memory rings (0 = same "
-        "runtime in-process); adds adaptive per-shard pacing and the live "
-        "detect-to-update stage budget",
+        type=_non_negative,
+        default=0,
+        help="forked shard workers over shared-memory rings for the stream "
+        "(0 = every shard in-process)",
     )
     flt.add_argument(
         "--pace",
         action="store_true",
-        help="pace the parallel stream at capture cadence on the monotonic "
-        "clock (real-time replay) instead of free-running",
+        help="pace the stream at capture cadence on the monotonic clock "
+        "(real-time replay) instead of free-running; turns on adaptive "
+        "pacing (down to --min-batch, default 1)",
     )
     flt.add_argument(
         "--min-batch",
-        type=int,
-        default=1,
-        help="lowest hop batch adaptive pacing may shrink to when steps "
-        "have headroom (parallel stream; lower = lower delivery latency)",
+        type=_positive,
+        default=None,
+        help="turn on adaptive pacing: overruns widen the hop batch and "
+        "headroom shrinks it down to this many hops (lower = lower "
+        "delivery latency); unset keeps the batch at --hop-batch",
     )
     flt.add_argument(
         "--drop-prob",
@@ -208,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     city.add_argument(
         "--workers",
-        type=int,
+        type=_non_negative,
         default=1,
         help="forked shard workers in the shared pool (0 = every session in-process)",
     )
@@ -219,7 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="admission control: sessions joining past this pool load run "
         "in-process (degraded) instead of queueing the city",
     )
-    city.add_argument("--hop-batch", type=int, default=8, help="hops per session step")
+    city.add_argument(
+        "--hop-batch",
+        type=_positive,
+        default=8,
+        help="hops per session step (held fixed unless --pace or --min-batch "
+        "opts into adaptive pacing)",
+    )
     city.add_argument(
         "--tap-window",
         type=float,
@@ -234,14 +261,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--pace",
         action="store_true",
         help="pace every session at capture cadence on the monotonic clock "
-        "instead of free-running",
+        "instead of free-running; turns on adaptive pacing (down to "
+        "--min-batch, default 1)",
     )
     city.add_argument(
         "--min-batch",
-        type=int,
-        default=1,
-        help="lowest hop batch a session's adaptive pacing may shrink to "
-        "when steps have headroom",
+        type=_positive,
+        default=None,
+        help="turn on adaptive pacing: a session's overruns widen its hop "
+        "batch and headroom shrinks it down to this many hops; unset keeps "
+        "the batch at --hop-batch",
     )
     city.add_argument(
         "--status-every",
@@ -270,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     city.add_argument(
         "--snapshot-every",
-        type=int,
+        type=_positive,
         default=None,
         help="supervisor steps between snapshots (needs --snapshot-out; "
         "default 1 = every step)",
@@ -388,6 +417,16 @@ def _cmd_process(args) -> int:
     return 0
 
 
+def _pacer_config(args):
+    """The explicit pacer ``--pace``/``--min-batch`` ask for; ``None`` keeps
+    every session at exactly ``--hop-batch`` hops per step."""
+    if not args.pace and args.min_batch is None:
+        return None
+    from repro.stream.pacer import PacerConfig
+
+    return PacerConfig(pace=args.pace, min_batch=args.min_batch or 1)
+
+
 def _cmd_fleet(args) -> int:
     from repro.acoustics.trajectory import LinearTrajectory
     from repro.core import PipelineConfig
@@ -440,9 +479,7 @@ def _cmd_fleet(args) -> int:
     config = PipelineConfig(fs=fs, localizer=args.localizer, n_azimuth=args.n_azimuth,
                             n_elevation=2)
     detector = OracleDetector("siren_wail") if args.detector == "oracle" else None
-    scheduler = FleetScheduler(
-        nodes, config, detector=detector, n_shards=args.shards, use_threads=args.threads
-    )
+    scheduler = FleetScheduler(nodes, config, detector=detector, n_shards=args.shards)
     say(f"corridor          : {args.n_nodes} nodes x {args.spacing:.0f} m, "
           f"{args.duration:.1f} s at {fs:.0f} Hz")
     say(f"vehicles          : 2 crossing ({args.speed:.0f} and {args.speed2:.0f} m/s), "
@@ -472,15 +509,7 @@ def _cmd_fleet(args) -> int:
             stream = CorridorStream(
                 recording, chunk_samples=config.hop_length, drop_prob=args.drop_prob, rng=rng
             )
-        parallel = args.workers is not None
-        pacer = None
-        if args.pace or args.min_batch != 1:
-            from repro.stream.pacer import PacerConfig
-
-            if not parallel:
-                print("error: --pace/--min-batch require --workers", file=sys.stderr)
-                return 1
-            pacer = PacerConfig(pace=args.pace, min_batch=args.min_batch)
+        pacer = _pacer_config(args)
         use_taps = args.multilaterate and args.tap_window is not None
         session = scheduler.stream(
             stream.sources(),
@@ -492,37 +521,32 @@ def _cmd_fleet(args) -> int:
             ),
             tap_window_s=args.tap_window if use_taps else None,
         )
-        engine = "streaming"
-        if parallel:
-            engine = f"parallel streaming, {session.workers} worker process(es)"
-        mode_notes = []
+        mode_notes = [f"{session.workers} worker process(es)"]
         if args.incremental:
             mode_notes.append("incremental render")
         if use_taps:
             mode_notes.append(f"mlat taps {args.tap_window:.2f} s")
         if pacer is not None:
             mode_notes.append(
-                ("paced, " if args.pace else "") + f"min batch {args.min_batch}"
+                ("paced, " if args.pace else "") + f"min batch {pacer.min_batch}"
             )
-        say(f"engine            : {engine} (hop batch {args.hop_batch}, "
-              f"chunk {config.hop_length} samples, drop prob {args.drop_prob:.2f}"
-              + (", " + ", ".join(mode_notes) if mode_notes else "") + ")")
+        say(f"engine            : streaming (hop batch {args.hop_batch}, "
+              f"chunk {config.hop_length} samples, drop prob {args.drop_prob:.2f}, "
+              + ", ".join(mode_notes) + ")")
         n_steps = 0
-        while not session.done:
-            for update in session.step().updates:
-                if update.kind in ("confirmed", "retired"):
-                    say("  " + format_track_update(update, frame_period=config.frame_period_s))
-            n_steps += 1
-            if parallel and n_steps % 32 == 0:
-                # Live stage-budget line: where the detect-to-update
-                # latency is going, per stage, so far.
-                say(format_stage_summary(summarize_budgets(session.stage_budgets)))
-        result = session.finalize()
-        if parallel:
-            session.close()
+        with session:
+            while not session.done:
+                for update in session.step().updates:
+                    if update.kind in ("confirmed", "retired"):
+                        say("  " + format_track_update(update, frame_period=config.frame_period_s))
+                n_steps += 1
+                if n_steps % 32 == 0:
+                    # Live stage-budget line: where the detect-to-update
+                    # latency is going, per stage, so far.
+                    say(format_stage_summary(summarize_budgets(session.stage_budgets)))
+            result = session.finalize()
         run, tracks = result.as_run_result(), result.tracks
-        if parallel:
-            pacer_stats = result.node_pacer_stats()
+        pacer_stats = result.node_pacer_stats()
         counts = summarize_updates(result.updates)
         hop = result.hop_latency
         say(f"live updates      : " + ", ".join(f"{k} {v}" for k, v in counts.items()))
@@ -530,18 +554,17 @@ def _cmd_fleet(args) -> int:
         dropped = sum(s.n_dropped_chunks for s in result.ingest.values())
         say(f"ingest            : {sum(s.n_chunks for s in result.ingest.values())} chunks, "
               f"{dropped} dropped, {late} late")
-        if use_taps and session.taps is not None:
-            tap_misses = {nid: tap.n_misses for nid, tap in session.taps.items()}
+        if use_taps:
+            tap_misses = result.tap_misses
             say(f"tap misses        : {sum(tap_misses.values())} evicted read(s) "
                   f"across {sum(1 for v in tap_misses.values() if v)} node(s)")
         say(f"per-hop latency   : p95 {hop.p95_s * 1e3:.2f} ms vs "
               f"{hop.deadline_s * 1e3:.1f} ms hop deadline "
               f"({'real-time' if result.realtime else 'OVERRUN'})")
-        if parallel:
-            say(format_stage_summary(result.stage_summary()))
-            d2u = result.detect_to_update
-            say(f"detect→update     : p95 {d2u.p95_s * 1e3:.1f} ms vs "
-                  f"{d2u.deadline_s * 1e3:.1f} ms nominal budget")
+        say(format_stage_summary(result.stage_summary()))
+        d2u = result.detect_to_update
+        say(f"detect→update     : p95 {d2u.p95_s * 1e3:.1f} ms vs "
+              f"{d2u.deadline_s * 1e3:.1f} ms nominal budget")
     else:
         run = scheduler.run(recording)
         tracks = fuse_fleet(
@@ -582,10 +605,9 @@ def _cmd_fleet(args) -> int:
     if args.json:
         import json
 
-        hop = result.hop_latency
         doc = {
-            "engine": "parallel" if parallel else "streaming",
-            "workers": args.workers or 0,
+            "engine": "streaming",
+            "workers": result.workers,
             "realtime": bool(result.realtime),
             "n_tracks": len(tracks),
             "n_updates": len(result.updates),
@@ -613,15 +635,13 @@ def _cmd_fleet(args) -> int:
                 }
                 for h in report.node_health
             ],
-        }
-        if parallel and result.detect_to_update is not None:
-            d2u = result.detect_to_update
-            doc["detect_to_update"] = {
+            "detect_to_update": {
                 "mean_ms": d2u.mean_s * 1e3,
                 "p95_ms": d2u.p95_s * 1e3,
                 "max_ms": d2u.max_s * 1e3,
                 "deadline_ms": d2u.deadline_s * 1e3,
-            }
+            },
+        }
         print(json.dumps(doc, indent=2))
     return 0
 
@@ -674,16 +694,11 @@ def _cmd_city(args) -> int:
             if parts:
                 say(f"  [step {result.step_index:>3}] " + " | ".join(parts))
 
-    pacer = None
-    if args.pace or args.min_batch != 1:
-        from repro.stream.pacer import PacerConfig
-
-        pacer = PacerConfig(pace=args.pace, min_batch=args.min_batch)
     with CitySupervisor(
         scenario,
         workers=args.workers,
         max_shards_per_worker=args.max_shards_per_worker,
-        pacer=pacer,
+        pacer=_pacer_config(args),
         steal=not args.no_steal,
         snapshot_path=args.snapshot_out,
         snapshot_every=args.snapshot_every,

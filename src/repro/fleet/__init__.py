@@ -9,15 +9,15 @@ the reproduction from one array to a corridor:
   roadside array nodes with consistent geometry;
 - :mod:`repro.fleet.scheduler` — shard the node recordings through
   per-node batched pipelines (shared detector + steering tensors,
-  round-robin shards, optional threads) with per-node and fleet-wide
-  latency accounting — offline via :meth:`FleetScheduler.run`, or live via
-  :meth:`FleetScheduler.stream`: a hop-clocked :class:`FleetStream`
-  session over per-node ring buffers (:mod:`repro.stream`) with per-hop
-  incremental fusion and live :class:`TrackUpdate` events, producing
-  tracks identical to the offline run — or, with ``workers=``, the
-  process-parallel :class:`~repro.stream.parallel.ParallelFleetStream`
-  (forked shard workers over shared-memory rings, adaptive per-shard
-  pacing, per-update stage budgets; still bit-identical tracks);
+  round-robin shards) with per-node and fleet-wide latency accounting —
+  offline via :meth:`FleetScheduler.run`, or live via
+  :meth:`FleetScheduler.stream`: the one hop-clocked fleet session,
+  :class:`FleetStream` (the same class as
+  :class:`~repro.stream.parallel.ParallelFleetStream`), over per-node ring
+  buffers (:mod:`repro.stream`) with shard kernels in-process at
+  ``workers=0`` or in forked workers, per-hop incremental fusion and live
+  :class:`TrackUpdate` events carrying stage budgets — tracks identical to
+  the offline run at any worker count;
 - :mod:`repro.fleet.fusion` — associate per-node detections across nodes
   and fuse them into road-coordinate Kalman tracks (bearing triangulation,
   wide-baseline TDOA upgrades, bearing-only survival, coast +
@@ -67,8 +67,6 @@ from repro.fleet.scheduler import (
     FleetRunResult,
     FleetScheduler,
     FleetStepResult,
-    FleetStream,
-    FleetStreamResult,
     NodeRunStats,
     OracleDetector,
 )
@@ -106,7 +104,17 @@ __all__ = [
     "FleetScheduler",
     "FleetStepResult",
     "FleetStream",
-    "FleetStreamResult",
     "NodeRunStats",
     "OracleDetector",
 ]
+
+
+def __getattr__(name: str):
+    # Resolved on first use, like repro.fleet.scheduler.FleetStream: the
+    # session class lives in repro.stream.parallel, which imports this
+    # package while it initializes.
+    if name == "FleetStream":
+        from repro.stream.parallel import ParallelFleetStream
+
+        return ParallelFleetStream
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

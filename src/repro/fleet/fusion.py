@@ -419,8 +419,8 @@ class TrackUpdate:
     budget:
         End-to-end :class:`~repro.stream.budget.StageBudget` of this update
         (capture → delivery → ingest → kernel → fusion → emit), attached by
-        the process-parallel runtime; ``None`` in offline/serial sessions
-        that do not instrument stages.
+        the fleet session to every update it streams; only the offline
+        :func:`fuse_fleet` pass leaves it ``None``.
     """
 
     kind: str

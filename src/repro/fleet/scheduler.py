@@ -15,16 +15,16 @@ engine exists to exploit.  The scheduler
   into another's;
 - offline (:meth:`FleetScheduler.run`), assigns nodes to shards round-robin
   and fans each shard's recordings through **one** ragged ``process_batch``
-  call (unequal capture lengths batch cleanly), optionally across a thread
-  pool;
-- live (:meth:`FleetScheduler.stream`), opens a hop-clocked
-  :class:`FleetStream` session: per-node ring-buffer ingestion
-  (:mod:`repro.stream`), one shared-:class:`~repro.ssl.gcc.SpectraCache`
-  hop batch per shard per step through the same
-  :class:`~repro.core.hop.HopKernel`, and *incremental* cross-node fusion
-  (:class:`~repro.fleet.fusion.FusionEngine` stepped per hop, emitting
-  live :class:`~repro.fleet.fusion.TrackUpdate` events) — producing tracks
-  identical to the offline run on the same audio;
+  call (unequal capture lengths batch cleanly).  This serial pass is the
+  independent reference every live session is checked against;
+- live (:meth:`FleetScheduler.stream`), opens the one hop-clocked fleet
+  session, :class:`~repro.stream.parallel.ParallelFleetStream` (also
+  exported here as ``FleetStream``): per-node ring-buffer ingestion, one
+  shared-:class:`~repro.ssl.gcc.SpectraCache` hop batch per shard per step
+  through the same :class:`~repro.core.hop.HopKernel` — in-process at
+  ``workers=0``, in forked workers otherwise — and *incremental* cross-node
+  fusion emitting budgeted :class:`~repro.fleet.fusion.TrackUpdate` events,
+  producing tracks identical to the offline run on the same audio;
 - accounts wall time per node and fleet-wide with
   :class:`~repro.core.realtime.LatencyMonitor` — against each node's
   capture duration offline, and against the hop deadline per step live.
@@ -33,27 +33,25 @@ engine exists to exploit.  The scheduler
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from repro.acoustics.geometry import SPEED_OF_SOUND
 from repro.core.batch import BlockPipeline
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import FrameResult
 from repro.core.realtime import LatencyMonitor, LatencyStats
 from repro.fleet.corridor import CorridorNode, CorridorRecording
-from repro.fleet.fusion import FusionConfig, FusedTrack, FusionEngine, TrackUpdate, detection_from_result
+from repro.fleet.fusion import FusionConfig, TrackUpdate
 from repro.nn.module import Module
 from repro.sed.events import EVENT_CLASSES, class_index
 from repro.sed.models import build_sed_mlp
-from repro.ssl.refine import RefineState
-from repro.ssl.tracking import KalmanDoaTracker
-from repro.stream.engine import IngestStats, NodeIngest
-from repro.stream.source import ChunkSource
-from repro.stream.tap import SampleTap, mlat_tap_capacity
+
+if TYPE_CHECKING:  # pragma: no cover - circular at runtime, fine for typing
+    from repro.stream.pacer import PacerConfig
+    from repro.stream.parallel import ParallelFleetStream
+    from repro.stream.source import ChunkSource
 
 __all__ = [
     "OracleDetector",
@@ -61,9 +59,19 @@ __all__ = [
     "FleetRunResult",
     "FleetScheduler",
     "FleetStepResult",
-    "FleetStreamResult",
     "FleetStream",
 ]
+
+
+def __getattr__(name: str):
+    # ``FleetStream`` is the session class of repro.stream.parallel, which
+    # imports this package while it initializes; resolving it on first use
+    # (PEP 562) breaks that import cycle.
+    if name == "FleetStream":
+        from repro.stream.parallel import ParallelFleetStream
+
+        return ParallelFleetStream
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class OracleDetector(Module):
@@ -150,10 +158,6 @@ class FleetScheduler:
     n_shards:
         Number of round-robin shards (default: one shard per 2 nodes,
         at least 1).
-    use_threads:
-        Process shards on a thread pool.  The batched paths are BLAS/FFT
-        shaped, so this mostly helps once the interpreter releases the GIL
-        inside NumPy; it is off by default.
     """
 
     def __init__(
@@ -163,7 +167,6 @@ class FleetScheduler:
         *,
         detector: Module | None = None,
         n_shards: int | None = None,
-        use_threads: bool = False,
     ) -> None:
         if not nodes:
             raise ValueError("need at least one node")
@@ -177,7 +180,6 @@ class FleetScheduler:
             n_shards = max(1, len(self.nodes) // 2)
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        self.use_threads = bool(use_threads)
         self.pipelines: dict[str, BlockPipeline] = {}
         prototypes: list[BlockPipeline] = []
         self._n_shared_localizers = 0
@@ -205,10 +207,6 @@ class FleetScheduler:
         self.shards: list[list[str]] = [[] for _ in range(min(n_shards, len(self.nodes)))]
         for k, node in enumerate(self.nodes):
             self.shards[k % len(self.shards)].append(node.node_id)
-        # One pool for the scheduler's lifetime (created on first threaded
-        # run): per-call executors rebuilt and tore down their worker
-        # threads every run, paying thread spawn latency each time.
-        self._executor: ThreadPoolExecutor | None = None
 
     # ------------------------------------------------------------------ API
 
@@ -245,18 +243,11 @@ class FleetScheduler:
         }
 
         fleet_monitor.tick_start()
-        if self.use_threads and len(self.shards) > 1:
-            pool = self._get_executor()
-            for shard_out in pool.map(lambda s: self._run_shard(s, clips), self.shards):
-                node_results.update(shard_out[0])
-                for nid, dt in shard_out[1].items():
-                    node_monitors[nid].record(dt)
-        else:
-            for shard in self.shards:
-                results, durations = self._run_shard(shard, clips)
-                node_results.update(results)
-                for nid, dt in durations.items():
-                    node_monitors[nid].record(dt)
+        for shard in self.shards:
+            results, durations = self._run_shard(shard, clips)
+            node_results.update(results)
+            for nid, dt in durations.items():
+                node_monitors[nid].record(dt)
         fleet_monitor.tick_end()
 
         node_stats = {
@@ -280,56 +271,33 @@ class FleetScheduler:
         sources: "Mapping[str, ChunkSource]",
         *,
         hop_batch: int = 8,
-        workers: int | None = None,
-        pacer=None,
+        workers: int = 0,
+        pacer: "PacerConfig | None" = None,
         fusion_config: FusionConfig | None = None,
         recordings: Mapping[str, np.ndarray] | None = None,
         ring_capacity: int | None = None,
         late_tolerance_s: float | None = None,
         tap_window_s: float | None = None,
-    ):
-        """Open a hop-clocked live session over per-node chunk sources.
+    ) -> "ParallelFleetStream":
+        """Open the hop-clocked live session over per-node chunk sources.
 
         ``sources`` maps every node id to its :class:`ChunkSource` (e.g.
-        from :meth:`repro.fleet.corridor.CorridorStream.sources`).  Each
-        :meth:`FleetStream.step` advances every shard by one ``hop_batch``
-        of hops and fuses the newly complete frames; the fused corridor
-        tracks are identical to :meth:`run` + :func:`~repro.fleet.fusion.
-        fuse_fleet` on the same audio.  Pass ``recordings`` to enable the
-        wide-baseline multilateration upgrade, exactly as with
-        :func:`fuse_fleet` — or ``tap_window_s`` to enable it *without*
-        recordings, from rolling per-node sample taps populated during
-        ingest (the only option for truly live feeds, where whole
-        recordings never exist).
-
-        With ``workers`` set (0 for the in-process reference path, >= 1
-        for forked shard workers over shared-memory rings) the session is
-        a :class:`~repro.stream.parallel.ParallelFleetStream` instead —
-        same surface and identical fused tracks, plus per-shard adaptive
-        pacing (``pacer``, a :class:`~repro.stream.pacer.PacerConfig`) and
-        per-update stage budgets.
+        from :meth:`repro.fleet.corridor.CorridorStream.sources`).  Returns
+        a :class:`~repro.stream.parallel.ParallelFleetStream` (see it for
+        the parameters): shard kernels in-process at ``workers=0``, in
+        forked workers otherwise; exactly ``hop_batch`` hops per step
+        unless ``pacer`` opts into adaptation or pacing.  Its fused tracks
+        equal :meth:`run` + :func:`~repro.fleet.fusion.fuse_fleet` on the
+        same audio.
         """
-        if workers is not None:
-            from repro.stream.parallel import ParallelFleetStream
+        from repro.stream.parallel import ParallelFleetStream
 
-            return ParallelFleetStream(
-                self,
-                sources,
-                hop_batch=hop_batch,
-                workers=workers,
-                pacer=pacer,
-                fusion_config=fusion_config,
-                recordings=recordings,
-                ring_capacity=ring_capacity,
-                late_tolerance_s=late_tolerance_s,
-                tap_window_s=tap_window_s,
-            )
-        if pacer is not None:
-            raise ValueError("pacer requires the parallel runtime (pass workers=)")
-        return FleetStream(
+        return ParallelFleetStream(
             self,
             sources,
             hop_batch=hop_batch,
+            workers=workers,
+            pacer=pacer,
             fusion_config=fusion_config,
             recordings=recordings,
             ring_capacity=ring_capacity,
@@ -337,35 +305,12 @@ class FleetScheduler:
             tap_window_s=tap_window_s,
         )
 
-    def close(self) -> None:
-        """Shut the persistent shard executor down (idempotent; the
-        scheduler remains usable — the next threaded run re-creates it)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def __enter__(self) -> "FleetScheduler":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     # ------------------------------------------------------------- internals
-
-    def _get_executor(self) -> ThreadPoolExecutor:
-        """The scheduler-lifetime shard pool, created on first use."""
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=len(self.shards), thread_name_prefix="fleet-shard"
-            )
-        return self._executor
 
     def _run_shard(
         self, shard: list[str], clips: Mapping[str, np.ndarray]
     ) -> tuple[dict[str, list[FrameResult]], dict[str, float]]:
         """Process one shard; returns results and attributed durations."""
-        import time
-
         t0 = time.perf_counter()
         pipes = [self.pipelines[nid] for nid in shard]
         shared = all(p.pipeline.localizer is pipes[0].pipeline.localizer for p in pipes)
@@ -389,7 +334,8 @@ class FleetScheduler:
 
 @dataclass(frozen=True)
 class FleetStepResult:
-    """What one :meth:`FleetStream.step` produced.
+    """What one fleet session step produced (see
+    :meth:`~repro.stream.parallel.ParallelFleetStream.step`).
 
     Attributes
     ----------
@@ -408,328 +354,3 @@ class FleetStepResult:
     updates: list[TrackUpdate]
     fused_upto: int
     done: bool
-
-
-@dataclass(frozen=True)
-class FleetStreamResult:
-    """Everything one :meth:`FleetStream.run` session produced.
-
-    ``node_results``/``node_stats``/``fleet_latency``/``shards`` mirror
-    :class:`FleetRunResult` (so :func:`repro.fleet.report.fleet_report`
-    consumes a finished stream unchanged, via :meth:`as_run_result`); on
-    top of those, the live session adds the fused ``tracks``, the full
-    ``updates`` feed, the per-hop ``hop_latency`` distribution (the Sec. II
-    real-time criterion: one fleet step must fit the hop deadline) and the
-    per-node delivery accounting in ``ingest``.
-    """
-
-    node_results: dict[str, list[FrameResult]]
-    node_stats: dict[str, NodeRunStats]
-    fleet_latency: LatencyStats
-    shards: list[list[str]]
-    tracks: list[FusedTrack]
-    updates: list[TrackUpdate]
-    hop_latency: LatencyStats
-    ingest: dict[str, IngestStats]
-    n_steps: int
-
-    @property
-    def realtime(self) -> bool:
-        """Whether the p95 per-hop fleet step met the hop deadline."""
-        return self.hop_latency.realtime
-
-    def as_run_result(self) -> FleetRunResult:
-        """The offline-shaped view (for :func:`~repro.fleet.report.fleet_report`)."""
-        return FleetRunResult(
-            node_results=self.node_results,
-            node_stats=self.node_stats,
-            fleet_latency=self.fleet_latency,
-            shards=self.shards,
-        )
-
-
-class FleetStream:
-    """A live hop-clocked session over a :class:`FleetScheduler`.
-
-    Construction wires, per node, a :class:`~repro.stream.engine.NodeIngest`
-    (chunk source → ring buffer → hop blocks) plus stream-owned tracker and
-    refinement state, and one incremental
-    :class:`~repro.fleet.fusion.FusionEngine` for the corridor.  Each
-    :meth:`step` then advances the engine clock by one hop batch:
-
-    1. every shard pulls its nodes' due chunks and runs the newly complete
-       hop blocks through the shard-lead pipeline's shared
-       :class:`~repro.core.hop.HopKernel` — one shared-cache detector pass
-       per shard per step, reusing the fleet's shared detector, steering
-       pyramids and (per node) temporal refinement windows;
-    2. the fusion frontier — frames every still-active node has finished —
-       advances, and each frontier frame is fused immediately
-       (associate/update/coast), emitting live
-       :class:`~repro.fleet.fusion.TrackUpdate` events;
-    3. the step's wall time is recorded against the hop deadline.
-
-    Determinism contract: on the same audio (no drops, ample rings) the
-    per-node result streams and the fused tracks are identical to the
-    offline :meth:`FleetScheduler.run` + :func:`~repro.fleet.fusion.
-    fuse_fleet` pass — association decisions and all; asserted in
-    ``tests/test_fleet_stream.py``.
-    """
-
-    def __init__(
-        self,
-        scheduler: FleetScheduler,
-        sources: "Mapping[str, ChunkSource]",
-        *,
-        hop_batch: int = 8,
-        fusion_config: FusionConfig | None = None,
-        recordings: Mapping[str, np.ndarray] | None = None,
-        ring_capacity: int | None = None,
-        late_tolerance_s: float | None = None,
-        tap_window_s: float | None = None,
-    ) -> None:
-        if hop_batch < 1:
-            raise ValueError("hop_batch must be >= 1")
-        missing = [n.node_id for n in scheduler.nodes if n.node_id not in sources]
-        if missing:
-            raise ValueError(f"missing sources for nodes: {missing}")
-        cfg = scheduler.config
-        self.scheduler = scheduler
-        self.hop_batch = int(hop_batch)
-        # Shard-major node order matches the insertion order of the offline
-        # run's node_results dict, so per-frame detection lists reach the
-        # fusion engine in the identical order (association ties and all).
-        self.node_order = [nid for shard in scheduler.shards for nid in shard]
-        self._nodes = {n.node_id: n for n in scheduler.nodes}
-        self._origins = {nid: n.position[:2].copy() for nid, n in self._nodes.items()}
-        if ring_capacity is None:
-            ring_capacity = 2 * (cfg.frame_length + self.hop_batch * cfg.hop_length)
-        fcfg = fusion_config or FusionConfig()
-        self.taps: dict[str, SampleTap] | None = None
-        tap_capacity = 0
-        if tap_window_s is not None:
-            self.taps = {}
-            tap_capacity = mlat_tap_capacity(
-                cfg.fs,
-                frame_length=cfg.frame_length,
-                hop_length=cfg.hop_length,
-                hop_batch=self.hop_batch,
-                mlat_block=fcfg.mlat_block,
-                window_s=tap_window_s,
-            )
-        self._ingest: dict[str, NodeIngest] = {}
-        for node in scheduler.nodes:
-            source = sources[node.node_id]
-            if source.n_channels != node.array.n_mics:
-                raise ValueError(
-                    f"source for {node.node_id!r} has {source.n_channels} channels, "
-                    f"node has {node.array.n_mics} mics"
-                )
-            if source.fs != cfg.fs:
-                raise ValueError(
-                    f"source fs {source.fs} does not match pipeline fs {cfg.fs}"
-                )
-            tap = None
-            if self.taps is not None:
-                tap = SampleTap(node.array.n_mics, tap_capacity)
-                self.taps[node.node_id] = tap
-            self._ingest[node.node_id] = NodeIngest(
-                source,
-                cfg.frame_length,
-                cfg.hop_length,
-                capacity=ring_capacity,
-                late_tolerance_s=late_tolerance_s,
-                tap=tap,
-            )
-        # Stream-owned per-node state: fresh tracker/refinement per session,
-        # exactly like the offline per-clip replay.
-        self._trackers = {nid: KalmanDoaTracker() for nid in self._nodes}
-        self._refine = {nid: RefineState() for nid in self._nodes}
-        self._results: dict[str, list[FrameResult]] = {nid: [] for nid in self._nodes}
-        self.fusion = FusionEngine(
-            scheduler.nodes,
-            fcfg,
-            cfg.frame_period_s,
-            recordings=recordings,
-            fs=cfg.fs if (recordings is not None or self.taps is not None) else None,
-            hop_length=cfg.hop_length,
-            c=SPEED_OF_SOUND,
-            taps=self.taps,
-        )
-        self.updates: list[TrackUpdate] = []
-        self.hop_monitor = LatencyMonitor(cfg.frame_period_s)
-        self._node_monitors = {nid: LatencyMonitor(cfg.frame_period_s) for nid in self._nodes}
-        self._t = 0.0
-        self._wall = 0.0
-        self._fused_upto = 0
-        self._n_steps = 0
-
-    # ------------------------------------------------------------------ API
-
-    @property
-    def node_results(self) -> dict[str, list[FrameResult]]:
-        """Per-node result streams accumulated so far (shard-major order)."""
-        return {nid: self._results[nid] for nid in self.node_order}
-
-    @property
-    def done(self) -> bool:
-        """Whether every source is exhausted, drained and fully fused."""
-        if not all(self._node_done(nid) for nid in self._nodes):
-            return False
-        return self._fused_upto >= self._last_frame() + 1
-
-    def _node_done(self, nid: str) -> bool:
-        ing = self._ingest[nid]
-        return ing.exhausted and ing.ring.available < self.scheduler.config.frame_length
-
-    def _last_frame(self) -> int:
-        return max((len(r) for r in self._results.values()), default=0) - 1
-
-    def step(self) -> FleetStepResult:
-        """Advance every shard by one hop batch and fuse the new frontier."""
-        cfg = self.scheduler.config
-        t0 = time.perf_counter()
-        self._t += self.hop_batch * cfg.frame_period_s
-        new_results: dict[str, list[FrameResult]] = {}
-        hops_advanced = 0
-        for shard in self.scheduler.shards:
-            t_shard = time.perf_counter()
-            blocks: list[np.ndarray] = []
-            nids: list[str] = []
-            for nid in shard:
-                ing = self._ingest[nid]
-                ing.pull(None if ing._exhausted else self._t)
-                # Steady state: exactly hop_batch frames.  After a delivery
-                # stall the backlog drains in one step (catch up, don't let
-                # the bounded ring overflow).
-                frames = ing.pop_frames()
-                if frames.shape[0]:
-                    blocks.append(frames)
-                    nids.append(nid)
-            if not blocks:
-                continue
-            pipes = [self.scheduler.pipelines[nid] for nid in nids]
-            shared = all(
-                p.pipeline.localizer is pipes[0].pipeline.localizer for p in pipes
-            )
-            if shared and len(nids) > 1:
-                # One shared-cache kernel pass for the whole shard: a single
-                # detector forward, per-node localization/tracking replay.
-                outs = pipes[0].pipeline.hop_kernel.run_clips(
-                    blocks,
-                    [self._trackers[nid] for nid in nids],
-                    [self._refine[nid] for nid in nids],
-                    [len(self._results[nid]) for nid in nids],
-                )
-            else:
-                outs = [
-                    pipe.pipeline.hop_kernel.step(
-                        block,
-                        tracker=self._trackers[nid],
-                        state=self._refine[nid],
-                        start_index=len(self._results[nid]),
-                    )
-                    for nid, pipe, block in zip(nids, pipes, blocks)
-                ]
-            shard_wall = time.perf_counter() - t_shard
-            total_frames = sum(b.shape[0] for b in blocks)
-            for nid, out, block in zip(nids, outs, blocks):
-                self._results[nid].extend(out)
-                new_results[nid] = out
-                hops_advanced = max(hops_advanced, block.shape[0])
-                # Per-hop attributed share of the shard's wall time.
-                self._node_monitors[nid].record(shard_wall / total_frames)
-        updates = self._fuse_frontier()
-        self.updates.extend(updates)
-        step_wall = time.perf_counter() - t0
-        self._wall += step_wall
-        if hops_advanced:
-            # The corridor clock advanced `hops_advanced` hops in step_wall:
-            # per-hop fleet latency vs the hop deadline (Sec. II).
-            self.hop_monitor.record(step_wall / hops_advanced)
-        self._n_steps += 1
-        return FleetStepResult(
-            new_results=new_results,
-            updates=updates,
-            fused_upto=self._fused_upto,
-            done=self.done,
-        )
-
-    def _fuse_frontier(self) -> list[TrackUpdate]:
-        """Fuse every frame all still-active nodes have completed."""
-        active_counts = [
-            len(self._results[nid]) for nid in self._nodes if not self._node_done(nid)
-        ]
-        if active_counts:
-            frontier = min(active_counts)
-        else:
-            frontier = self._last_frame() + 1  # ragged tail: fuse to the end
-        cfg = self.fusion.config
-        updates: list[TrackUpdate] = []
-        for frame in range(self._fused_upto, frontier):
-            detections = []
-            for nid in self.node_order:
-                results = self._results[nid]
-                if frame >= len(results):
-                    continue  # shorter capture: node ended before this frame
-                det = detection_from_result(
-                    results[frame],
-                    self._nodes[nid],
-                    config=cfg,
-                    origin=self._origins[nid],
-                )
-                if det is not None:
-                    detections.append(det)
-            updates.extend(self.fusion.step(frame, detections))
-        self._fused_upto = max(self._fused_upto, frontier)
-        return updates
-
-    def run(self) -> FleetStreamResult:
-        """Step until every source is drained; returns the session summary."""
-        while not self.done:
-            self.step()
-        return self.finalize()
-
-    def finalize(self) -> FleetStreamResult:
-        """Summarize the session (callable mid-run for a snapshot)."""
-        cfg = self.scheduler.config
-        node_stats = {}
-        for nid in self.node_order:
-            monitor = self._node_monitors[nid]
-            if monitor.n_ticks == 0:
-                # No frame completed yet (mid-run snapshot while the ring is
-                # still filling): report zeros without polluting the monitor.
-                latency = LatencyStats(
-                    mean_s=0.0, p95_s=0.0, max_s=0.0, deadline_s=monitor.deadline_s
-                )
-            else:
-                latency = monitor.stats()
-            node_stats[nid] = NodeRunStats(
-                node_id=nid,
-                n_frames=len(self._results[nid]),
-                n_detections=sum(r.detected for r in self._results[nid]),
-                latency=latency,
-            )
-        # Whole-session budget: total wall vs the longest capture ingested.
-        deadline = max(
-            (ing.ring.total_pushed / cfg.fs for ing in self._ingest.values()),
-            default=cfg.frame_period_s,
-        )
-        fleet_monitor = LatencyMonitor(max(deadline, 1e-9))
-        fleet_monitor.record(self._wall)
-        if self.hop_monitor.n_ticks == 0:
-            hop_latency = LatencyStats(
-                mean_s=0.0, p95_s=0.0, max_s=0.0, deadline_s=self.hop_monitor.deadline_s
-            )
-        else:
-            hop_latency = self.hop_monitor.stats()
-        return FleetStreamResult(
-            node_results=self.node_results,
-            node_stats=node_stats,
-            fleet_latency=fleet_monitor.stats(),
-            shards=[list(s) for s in self.scheduler.shards],
-            tracks=self.fusion.tracks,
-            updates=list(self.updates),
-            hop_latency=hop_latency,
-            ingest={nid: ing.stats for nid, ing in self._ingest.items()},
-            n_steps=self._n_steps,
-        )

@@ -29,9 +29,9 @@ package closes that gap with a hop-clocked runtime over the same shared
 - :mod:`repro.stream.slab` — :class:`SharedResultSlab`, the per-worker
   seqlock'd shared-memory reply slots that carry each shard's
   :class:`HopReply` back to the main process with zero pickling;
-- :mod:`repro.stream.parallel` — the process-parallel fleet runtime
-  (:class:`ParallelFleetStream`), one session over its own or a shared
-  pool.
+- :mod:`repro.stream.parallel` — the fleet session runtime
+  (:class:`ParallelFleetStream`, also :class:`repro.fleet.FleetStream`):
+  shard runners in-process, on a private forked pool, or on a shared one.
 
 **Work stealing and shard migration.**  The pool does not pin shards to
 the worker that registered them: each worker has a deque of hop-step work
@@ -48,20 +48,19 @@ pinning; preloaded fork-inherited shards never migrate).  Pool pressure
 (queue depth + steal rate) feeds :class:`SharedCapacity`, which scales
 every paced session's ``min_batch`` city-wide under sustained backlog.
 
-Execution tiers of the fleet stack, slowest-coupling first:
+Execution modes of the one fleet session, slowest-coupling first:
 
 ===========  ==========================================================
-serial       :class:`repro.fleet.FleetStream` — every shard's kernel
-             pass in the main process.  Lowest overhead; wins for small
-             fleets and short captures.
-threaded     :meth:`repro.fleet.FleetScheduler.run` with
-             ``use_threads=True`` (offline only) — shards on a thread
-             pool; helps once NumPy releases the GIL for long batches.
-process      :class:`ParallelFleetStream` — each shard's kernel in a
-             forked worker fed through shared-memory rings; the per-hop
-             Python cost parallelizes too.  Wins for many-node fleets
-             and dense (per-hop localization) workloads; costs a fork
-             plus one pipe round-trip per step.
+in-process   ``ParallelFleetStream(workers=0)`` — the default of
+             :meth:`repro.fleet.FleetScheduler.stream`: every shard's
+             :class:`~repro.stream.parallel._ShardRunner` steps in the
+             main process.  Lowest overhead; wins for small fleets and
+             short captures.
+process      ``workers >= 1`` — each shard's runner in a forked worker
+             fed through shared-memory rings; the per-hop Python cost
+             parallelizes too.  Wins for many-node fleets and dense
+             (per-hop localization) workloads; costs a fork plus one
+             pipe round-trip per step.
 supervisor   :class:`repro.city.CitySupervisor` — many concurrent
              corridor sessions multiplexed onto one
              :class:`ShardWorkerPool`, sessions joining and leaving
@@ -69,9 +68,11 @@ supervisor   :class:`repro.city.CitySupervisor` — many concurrent
              capacity, city-wide health rollups on top.
 ===========  ==========================================================
 
-All tiers drive the same :class:`~repro.core.hop.HopKernel` and produce
-bit-identical per-node results and fused tracks — including every
-session of a shared-pool city run vs the same corridor standalone.
+Every mode runs the same runner code through the same
+:class:`~repro.core.hop.HopKernel` and produces bit-identical per-node
+results and fused tracks — including every session of a shared-pool city
+run vs the same corridor standalone — with the same association decisions
+as the offline :meth:`repro.fleet.FleetScheduler.run` pass.
 """
 
 from repro.stream.engine import IngestStats, NodeIngest, StreamPipeline, StreamRunResult

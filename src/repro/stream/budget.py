@@ -65,8 +65,8 @@ STAGES = ("capture", "delivery", "ingest", "kernel", "fusion", "emit")
 class StageBudget:
     """Per-update latency breakdown, milliseconds per stage.
 
-    Attached to every :class:`~repro.fleet.fusion.TrackUpdate` the parallel
-    runtime emits; :attr:`detect_to_update_ms` is the end-to-end figure the
+    Attached to every :class:`~repro.fleet.fusion.TrackUpdate` a fleet
+    session emits; :attr:`detect_to_update_ms` is the end-to-end figure the
     E16 and E18 benches guard with ``--bench-max-p95``.
     """
 

@@ -1,11 +1,15 @@
-"""Process-parallel fleet runtime: shard workers over shared-memory rings.
+"""The fleet session runtime: shard runners in-process or in forked workers.
 
-The third execution tier of the fleet stack.  PR 5's :class:`~repro.fleet.
-scheduler.FleetStream` runs every shard's hop-kernel pass in the main
-process, so K shards share one interpreter; the batched kernels release the
-GIL inside NumPy but the per-hop Python (priming, tracking, refinement
-bookkeeping) serializes.  :class:`ParallelFleetStream` moves each shard's
-kernel pass into a persistent **worker process**:
+:class:`ParallelFleetStream` (also exported as :class:`repro.fleet.
+FleetStream`) is the one live session behind
+:meth:`~repro.fleet.scheduler.FleetScheduler.stream` and every city
+corridor.  Each shard's kernel pass is a :class:`_ShardRunner` — the same
+object and the same code whether it runs in the main process
+(``workers=0``), in a private forked :class:`~repro.stream.pool.
+ShardWorkerPool`, or registered on a pool shared with other sessions.  The
+batched kernels release the GIL inside NumPy but the per-hop Python
+(priming, tracking, refinement bookkeeping) serializes, which is what the
+worker processes are for:
 
 - **audio crosses the process boundary zero-copy.**  The main process
   ingests every node's chunk feed into a
@@ -17,23 +21,26 @@ kernel pass into a persistent **worker process**:
 - **workers are forked, not spawned.**  Fork inherits the scheduler's
   built pipelines — detector weights, steering/interpolation tensors,
   coarse-to-fine pyramids — without pickling a single array.
-- **fusion stays in the main process.**  Workers return per-hop
+- **fusion stays in the main process.**  Runners return per-hop
   localization results; the main process merges them in deterministic
   shard order and steps the incremental
-  :class:`~repro.fleet.fusion.FusionEngine` exactly like the serial
-  runtime, so fused tracks are **bit-identical** to
-  :class:`~repro.fleet.scheduler.FleetStream` and to the offline
-  :meth:`~repro.fleet.scheduler.FleetScheduler.run` pass (the PR 5
-  hop-batch invariance contract makes the interleaving immaterial).
+  :class:`~repro.fleet.fusion.FusionEngine`, so fused tracks are
+  **bit-identical** at every worker count and batch schedule (the
+  hop-batch invariance contract makes the interleaving immaterial) and
+  match the offline :meth:`~repro.fleet.scheduler.FleetScheduler.run`
+  pass.
 
 Single-producer/single-consumer turn-taking makes the rings lock-free: the
 main process pushes a shard's chunks *before* sending its step command and
 the worker pops *before* replying, so the two sides never touch a ring
 concurrently.
 
-Each shard is governed by a :class:`~repro.stream.pacer.Pacer`: hop-budget
-overruns widen that shard's effective hop batch (catch up by amortizing,
-not by ring drops) and headroom shrinks it back.  Every emitted
+Each shard is governed by a :class:`~repro.stream.pacer.Pacer`.  Without
+a caller-supplied :class:`~repro.stream.pacer.PacerConfig` it holds the
+batch at exactly ``hop_batch``; with one, hop-budget overruns widen that
+shard's effective hop batch (catch up by amortizing, not by ring drops),
+headroom shrinks it back, and ``pace=True`` replays at capture speed.
+Every emitted
 :class:`~repro.fleet.fusion.TrackUpdate` carries a
 :class:`~repro.stream.budget.StageBudget` decomposing its detect-to-update
 latency across capture → delivery → ingest → kernel → fusion → emit.
@@ -53,7 +60,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
@@ -68,6 +75,7 @@ from repro.fleet.fusion import (
     TrackUpdate,
     detection_from_result,
 )
+from repro.fleet.scheduler import FleetRunResult, FleetScheduler, FleetStepResult, NodeRunStats
 from repro.ssl.refine import RefineState
 from repro.ssl.tracking import KalmanDoaTracker
 from repro.stream.budget import StageBudget, summarize_budgets
@@ -79,14 +87,8 @@ from repro.stream.slab import HopReply
 from repro.stream.source import ChunkSource
 from repro.stream.tap import SampleTap, mlat_tap_capacity
 
-if TYPE_CHECKING:  # pragma: no cover - circular at runtime, fine for typing
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.batch import BlockPipeline
-    from repro.fleet.scheduler import (
-        FleetRunResult,
-        FleetScheduler,
-        FleetStepResult,
-        NodeRunStats,
-    )
 
 __all__ = [
     "parallel_supported",
@@ -114,13 +116,6 @@ def parallel_supported() -> str | None:
     except Exception as exc:  # pragma: no cover - environment specific
         return f"multiprocessing.shared_memory is unavailable: {exc}"
     return None
-
-
-# One shard's kernel pass: which nodes produced frames, their rows, and the
-# wall time the pass took.  Promoted to repro.stream.slab.HopReply in PR 9 so
-# the pool's shared-memory reply slots and this runtime share one definition
-# (a reply that *is* a HopReply rides the slab with zero pickling).
-_ShardReply = HopReply
 
 
 class _ShardRunner:
@@ -151,12 +146,12 @@ class _ShardRunner:
         self.refine = {nid: RefineState() for nid in self.nids}
         self.counts = {nid: 0 for nid in self.nids}
 
-    def step(self) -> _ShardReply:
+    def step(self) -> HopReply:
         """Pop every completed frame and run the shard's kernel pass.
 
         Steady state pops one hop batch per node; after a stall the whole
         backlog drains in one pass (catch up, don't let the bounded ring
-        overflow) — byte-for-byte the serial ``FleetStream`` shard body.
+        overflow).
         """
         t0 = time.perf_counter()
         blocks: list[np.ndarray] = []
@@ -167,7 +162,7 @@ class _ShardRunner:
                 blocks.append(frames)
                 nids.append(nid)
         if not nids:
-            return _ShardReply((), {}, time.perf_counter() - t0)
+            return HopReply((), {}, time.perf_counter() - t0)
         pipes = [self.pipelines[nid] for nid in nids]
         shared = all(p.pipeline.localizer is pipes[0].pipeline.localizer for p in pipes)
         if shared and len(nids) > 1:
@@ -193,7 +188,7 @@ class _ShardRunner:
         for nid, out in zip(nids, outs):
             self.counts[nid] += len(out)
             results[nid] = out
-        return _ShardReply(tuple(nids), results, time.perf_counter() - t0)
+        return HopReply(tuple(nids), results, time.perf_counter() - t0)
 
     def state_dict(self) -> dict:
         """The shard's mutable stream state (crash-recovery checkpoint).
@@ -221,10 +216,15 @@ class _ShardRunner:
 class ParallelStreamResult:
     """Everything one :meth:`ParallelFleetStream.run` session produced.
 
-    The first nine fields mirror :class:`~repro.fleet.scheduler.
-    FleetStreamResult` (so report tooling consumes either via
-    :meth:`as_run_result`); on top the parallel session adds the worker
-    count, per-shard pacer accounting and the per-update stage budgets.
+    ``node_results``/``node_stats``/``fleet_latency``/``shards`` mirror
+    :class:`~repro.fleet.scheduler.FleetRunResult` (so
+    :func:`~repro.fleet.report.fleet_report` consumes a finished session
+    via :meth:`as_run_result`); on top of those the session adds the fused
+    ``tracks``, the full ``updates`` feed, the per-hop ``hop_latency``
+    distribution (the Sec. II real-time criterion: one fleet step must fit
+    the hop deadline), per-node delivery accounting in ``ingest``, the
+    worker count, per-shard pacer accounting and the per-update stage
+    budgets.
 
     Attributes
     ----------
@@ -255,7 +255,7 @@ class ParallelStreamResult:
     """
 
     node_results: dict[str, list[FrameResult]]
-    node_stats: "dict[str, NodeRunStats]"
+    node_stats: dict[str, NodeRunStats]
     fleet_latency: LatencyStats
     shards: list[list[str]]
     tracks: list[FusedTrack]
@@ -280,10 +280,8 @@ class ParallelStreamResult:
         """Whether the p95 per-hop fleet step met the hop deadline."""
         return self.hop_latency.realtime
 
-    def as_run_result(self) -> "FleetRunResult":
+    def as_run_result(self) -> FleetRunResult:
         """The offline-shaped view (for :func:`~repro.fleet.report.fleet_report`)."""
-        from repro.fleet.scheduler import FleetRunResult
-
         return FleetRunResult(
             node_results=self.node_results,
             node_stats=self.node_stats,
@@ -306,13 +304,29 @@ class ParallelStreamResult:
 
 
 class ParallelFleetStream:
-    """A live fleet session whose shard kernels run in worker processes.
+    """A live hop-clocked fleet session over a :class:`FleetScheduler`.
 
-    Drop-in peer of :class:`~repro.fleet.scheduler.FleetStream` — same
-    sources, same step/run/finalize surface, identical fused tracks — with
-    three additions: ``workers`` processes fed through shared-memory rings,
-    one adaptive :class:`~repro.stream.pacer.Pacer` per shard, and a
-    :class:`~repro.stream.budget.StageBudget` on every emitted update.
+    Construction wires, per node, a :class:`~repro.stream.engine.NodeIngest`
+    (chunk source → ring buffer → hop blocks), one :class:`_ShardRunner`
+    per shard holding the stream-owned tracker and refinement state, one
+    :class:`~repro.stream.pacer.Pacer` per shard, and one incremental
+    :class:`~repro.fleet.fusion.FusionEngine` for the corridor.  Each
+    :meth:`step` then advances every shard by its pacer's hop batch:
+
+    1. every shard pulls its nodes' due chunks and runs the newly complete
+       hop blocks through the shard-lead pipeline's shared
+       :class:`~repro.core.hop.HopKernel` — in-process or in the shard's
+       worker;
+    2. the fusion frontier — frames every still-active node has finished —
+       advances, and each frontier frame is fused immediately
+       (associate/update/coast), emitting live
+       :class:`~repro.fleet.fusion.TrackUpdate` events, each stamped with
+       its :class:`~repro.stream.budget.StageBudget`;
+    3. the step's wall time is recorded against the hop deadline.
+
+    On the same audio (no drops, ample rings) the per-node result streams
+    and fused tracks equal the offline :meth:`FleetScheduler.run` +
+    :func:`~repro.fleet.fusion.fuse_fleet` pass at any worker count.
 
     Parameters
     ----------
@@ -342,18 +356,28 @@ class ParallelFleetStream:
         pacers judge their budgets against (shards on an oversubscribed
         pool widen earlier).  The session acquires one slot per shard
         while open.
+    hop_batch:
+        Hops every shard advances per step (the starting batch when
+        ``pacer`` adapts).
     pacer:
-        Per-shard backpressure policy (shared config, independent state);
-        default :class:`PacerConfig` widens on overrun up to ``8 x
-        hop_batch`` and shrinks when headroom returns.
-    hop_batch, fusion_config, recordings, ring_capacity, late_tolerance_s,
+        Per-shard backpressure policy (shared config, independent state).
+        ``None`` holds every shard at exactly ``hop_batch`` hops per step
+        (``PacerConfig(min_batch=hop_batch, max_batch=hop_batch)``); a
+        caller-supplied :class:`PacerConfig` opts into adaptive batching
+        (widen on overrun, up to ``8 x hop_batch`` unless ``max_batch``
+        says otherwise, shrink on headroom) and/or real-time pacing.
+    fusion_config, recordings:
+        Fusion settings, and whole per-node recordings that enable the
+        wide-baseline multilateration upgrade exactly as with
+        :func:`~repro.fleet.fusion.fuse_fleet`.
+    ring_capacity, late_tolerance_s:
+        Per-node ingest ring size (default: covers the pacer's *maximum*
+        batch, so an adaptively widened step never overflows) and late-chunk
+        tolerance (see :class:`~repro.stream.engine.NodeIngest`).
     tap_window_s:
-        As in :class:`~repro.fleet.scheduler.FleetStream`; the default ring
-        capacity covers the pacer's *maximum* batch so an adaptively
-        widened step never overflows.  ``tap_window_s`` enables streamed
-        multilateration from rolling per-node sample taps, so live
-        sessions get wide-baseline fixes without any pre-rendered
-        ``recordings``.
+        Enables streamed multilateration from rolling per-node sample taps
+        of this many seconds, populated during ingest, so live sessions get
+        wide-baseline fixes without any pre-rendered ``recordings``.
     clock, sleep:
         Injected monotonic clock / sleep for the per-shard pacers (tests
         drive paced sessions on a fake clock; production uses the real
@@ -365,7 +389,7 @@ class ParallelFleetStream:
 
     def __init__(
         self,
-        scheduler: "FleetScheduler",
+        scheduler: FleetScheduler,
         sources: Mapping[str, ChunkSource],
         *,
         hop_batch: int = 8,
@@ -404,7 +428,7 @@ class ParallelFleetStream:
         self.node_order = [nid for shard in scheduler.shards for nid in shard]
         self._nodes = {n.node_id: n for n in scheduler.nodes}
         self._origins = {nid: n.position[:2].copy() for nid, n in self._nodes.items()}
-        pacer_cfg = pacer or PacerConfig()
+        pacer_cfg = pacer or PacerConfig(min_batch=self.hop_batch, max_batch=self.hop_batch)
         max_batch = pacer_cfg.max_batch
         if max_batch is None:
             max_batch = max(8 * self.hop_batch, pacer_cfg.min_batch)
@@ -592,14 +616,14 @@ class ParallelFleetStream:
             return {}
         return {nid: tap.n_misses for nid, tap in self.taps.items()}
 
-    def step(self) -> "FleetStepResult":
+    def step(self) -> FleetStepResult:
         """Advance every shard by its pacer's hop batch and fuse the frontier.
 
         Per shard: advance that shard's stream clock, pull the chunks now
         delivered into its nodes' (shared) rings, then run the kernel pass —
         in-process or in the shard's worker.  Replies merge in shard-index
-        order, the fusion frontier advances exactly as in the serial
-        runtime, and every emitted update gets its stage budget attached.
+        order, the fusion frontier advances, and every emitted update gets
+        its stage budget attached.
 
         Equivalent to :meth:`step_begin` + :meth:`step_end`; a supervisor
         multiplexing several sessions calls the two halves itself so every
@@ -636,7 +660,7 @@ class ParallelFleetStream:
             self._pool.step_send(self.session_id)
         self._pending = (t0, ingest_wall)
 
-    def step_end(self) -> "FleetStepResult":
+    def step_end(self) -> FleetStepResult:
         """Collect the in-flight step's replies, fuse, and emit updates.
 
         Raises :class:`~repro.stream.pool.WorkerCrashed` when a worker
@@ -645,8 +669,6 @@ class ParallelFleetStream:
         recover` and retry — the step stays pending until a collect
         succeeds.
         """
-        from repro.fleet.scheduler import FleetStepResult
-
         if self._closed:
             raise RuntimeError("session is closed")
         if self._pending is None:
@@ -715,8 +737,6 @@ class ParallelFleetStream:
 
     def finalize(self) -> ParallelStreamResult:
         """Summarize the session (callable mid-run for a snapshot)."""
-        from repro.fleet.scheduler import NodeRunStats
-
         cfg = self.scheduler.config
         hop_latency, *node_latency = monitor_stats(self.latency_monitors())
         node_stats = {
@@ -816,9 +836,11 @@ class ParallelFleetStream:
     def _fuse_frontier(self) -> list[TrackUpdate]:
         """Fuse every frame all still-active nodes have completed.
 
-        Verbatim mirror of the serial runtime's frontier pass — fusion runs
-        in the main process over the merged result streams, in shard-major
-        node order, so association decisions cannot depend on worker count.
+        Fusion runs in the main process over the merged result streams, in
+        shard-major node order — the insertion order of the offline run's
+        ``node_results`` — so per-frame detection lists reach the fusion
+        engine in the identical order and association decisions cannot
+        depend on worker count.
         """
         active_counts = [
             len(self._results[nid]) for nid in self._nodes if not self._node_done(nid)
@@ -853,8 +875,9 @@ class ParallelFleetStream:
         """Stamp each new update with its detect-to-update stage breakdown.
 
         Delivery/ingest/kernel are the max over the nodes contributing that
-        frame (the update waited for the slowest node); fusion is the
-        frontier pass attributed per fused frame; emit is measured here.
+        frame (the update waited for the slowest node), taken once per
+        fused frame; fusion is the frontier pass attributed per fused
+        frame; emit is measured here.
         """
         if not updates:
             return updates
@@ -863,15 +886,18 @@ class ParallelFleetStream:
         fusion_ms = fusion_s / max(1, n_fused) * 1e3
         t_emit = time.perf_counter()
         out: list[TrackUpdate] = []
+        frame = -1
+        delivery = ingest = kernel = 0.0
         for u in updates:
-            delivery = ingest = kernel = 0.0
-            for nid in self.node_order:
-                costs = self._frame_cost[nid]
-                if u.frame_index < len(costs):
-                    d, i, k = costs[u.frame_index]
-                    delivery = max(delivery, d)
-                    ingest = max(ingest, i)
-                    kernel = max(kernel, k)
+            if u.frame_index != frame:
+                frame = u.frame_index
+                delivery = ingest = kernel = 0.0
+                for costs in self._frame_cost.values():
+                    if frame < len(costs):
+                        d, i, k = costs[frame]
+                        delivery = max(delivery, d)
+                        ingest = max(ingest, i)
+                        kernel = max(kernel, k)
             budget = StageBudget(
                 capture_ms=capture_ms,
                 delivery_ms=delivery,
@@ -881,5 +907,8 @@ class ParallelFleetStream:
                 emit_ms=(time.perf_counter() - t_emit) * 1e3,
             )
             self.stage_budgets.append(budget)
-            out.append(replace(u, budget=budget))
+            # Built directly: dataclasses.replace costs 2x per update.
+            out.append(TrackUpdate(
+                u.kind, u.frame_index, u.track_id, u.label, u.x, u.y, u.speed_mps, u.n_nodes, budget
+            ))
         return out

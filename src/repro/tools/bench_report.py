@@ -12,9 +12,10 @@ from tier-1): the file must parse to a list of well-formed rows and every
 bench that recorded rows must carry finite ``wall_ms``/``speedup`` values —
 the same "NaN must fail loudly" rationale as the ``--bench-min-speedup``
 guard.  A *missing* trail passes (fresh checkouts have no rows yet), and no
-particular bench is required to be present: the multi-core benches (E16,
-E19's speedup contrast) legitimately never record rows on single-core
-runners, so their absence is reported but never fatal.
+particular bench is required to be present: the rows of the
+``parallel``-marked benches (E16, E18, E19's steal contrast) legitimately
+never appear from single-core runners, so their absence is reported but
+never fatal.
 """
 
 from __future__ import annotations
@@ -121,9 +122,18 @@ def _print_report(groups: dict[str, list[dict]]) -> None:
         print(" | ".join(f"{c:>{w}}" for c, w in zip(cells, widths)))
 
 
-# Benches that only record rows on multi-core machines; their absence from
-# a trail is expected on single-core runners and never a check failure.
-MULTICORE_ONLY = ("E16_city_parallel", "E19_city_steal_on", "E19_city_steal_off")
+# The rows the ``parallel``-marked bench modules record: they only run on
+# multi-core machines, so their absence from a trail is expected on
+# single-core runners and never a check failure.
+MULTICORE_ONLY = (
+    "E16_parallel_fleet_1w",
+    "E16_parallel_fleet_2w",
+    "E16_parallel_fleet_4w",
+    "E16_detect_to_update",
+    "E18_paced_min_batch",
+    "E19_city_steal_on",
+    "E19_city_steal_off",
+)
 
 
 def main(argv: list[str] | None = None) -> int:

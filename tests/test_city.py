@@ -315,7 +315,6 @@ def standalone_result(spec, scenario):
         sched, feed.sources(), hop_batch=scenario.hop_batch, workers=0
     ) as session:
         result = session.run()
-    sched.close()
     return result
 
 

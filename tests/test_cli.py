@@ -20,6 +20,29 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["fleet", "--stream", "--hop-batch", "0"], "--hop-batch"),
+            (["fleet", "--stream", "--min-batch", "0"], "--min-batch"),
+            (["fleet", "--shards", "0"], "--shards"),
+            (["fleet", "--stream", "--workers", "-1"], "--workers"),
+            (["city", "--hop-batch", "0"], "--hop-batch"),
+            (["city", "--min-batch", "0"], "--min-batch"),
+            (["city", "--snapshot-every", "0", "--snapshot-out", "trail.jsonl"],
+             "--snapshot-every"),
+            (["city", "--workers", "-1"], "--workers"),
+        ],
+    )
+    def test_out_of_range_integers_exit_2_naming_the_flag(self, argv, flag, capsys):
+        # Rejected while parsing, before any scene is rendered.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err
+        assert "must be >=" in err
+
 
 class TestGenerateDataset(object):
     def test_writes_npz(self, tmp_path, capsys):
@@ -108,7 +131,8 @@ class TestFleet:
         args = build_parser().parse_args(["fleet"])
         assert args.n_nodes == 3
         assert args.detector == "oracle"
-        assert not args.threads
+        assert args.workers == 0
+        assert args.min_batch is None
 
 
 class TestFleetJson:
@@ -127,7 +151,8 @@ class TestFleetJson:
         assert code == 0
         out = capsys.readouterr().out
         doc = json.loads(out)  # the ONLY stdout is one JSON document
-        assert doc["engine"] == "parallel"
+        assert doc["engine"] == "streaming"
+        assert doc["workers"] == 0
         assert doc["n_tracks"] > 0
         assert {"p95_ms", "deadline_ms"} <= set(doc["hop_latency"])
         assert "detect_to_update" in doc
@@ -154,6 +179,19 @@ class TestFleetJson:
         )
         assert code == 0
         assert "tap misses        : 0 evicted read(s)" in capsys.readouterr().out
+
+    def test_adaptive_pacing_without_workers(self, capsys):
+        import json
+
+        code = main(
+            ["fleet", "--stream", "--n-nodes", "2", "--spacing", "12",
+             "--duration", "0.5", "--n-azimuth", "36", "--min-batch", "1",
+             "--json"]
+        )
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["workers"] == 0
+        assert doc["n_tracks"] > 0
 
     def test_full_physics_incremental_stream(self, capsys):
         import json

@@ -148,21 +148,6 @@ class TestFleetScheduler:
             assert stats.latency.deadline_s > 0
         assert run.fleet_latency.deadline_s == pytest.approx(0.4)
 
-    def test_threads_match_serial(self):
-        scene = small_scene(n_nodes=4, spacing=8.0)
-        rec = synthesize_corridor(scene, FS)
-        detector = OracleDetector()
-        serial = FleetScheduler(scene.nodes, self.config(), detector=detector, n_shards=2)
-        threaded = FleetScheduler(
-            scene.nodes, self.config(), detector=detector, n_shards=2, use_threads=True
-        )
-        r1 = serial.run(rec)
-        r2 = threaded.run(rec)
-        for nid in r1.node_results:
-            az1 = [r.azimuth for r in r1.node_results[nid]]
-            az2 = [r.azimuth for r in r2.node_results[nid]]
-            assert np.allclose(az1, az2, equal_nan=True)
-
     def test_heterogeneous_mic_counts_build_without_sharing(self):
         from repro.acoustics.environment import MicrophoneArray
         from repro.arrays import uniform_circular_array

@@ -144,7 +144,6 @@ class TestCorridorBlockRenderer:
         for ta, tb in zip(ref.tracks, inc.tracks):
             assert np.array_equal(ta.frames(), tb.frames())
             assert np.array_equal(ta.positions(), tb.positions())
-        sch.close()
 
     def test_validation(self):
         scene = make_scene()
@@ -222,7 +221,6 @@ class TestIncrementalCorridorStream:
         for ta, tb in zip(ref.tracks, inc.tracks):
             assert np.array_equal(ta.frames(), tb.frames())
             assert np.array_equal(ta.positions(), tb.positions())
-        sch.close()
 
     def test_incremental_requires_scene(self):
         scene = make_scene(two_vehicles=False)

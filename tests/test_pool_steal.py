@@ -439,7 +439,6 @@ class TestTapMissReporting:
             tap.extend(np.zeros((tap.n_channels, tap.capacity + 4)))
             assert tap.read(0, 4) is None  # evicted
             result = session.finalize()
-        sched.close()
         assert set(result.tap_misses) == set(node_ids)
         assert result.tap_misses[node_ids[0]] == 1
         assert all(result.tap_misses[nid] == 0 for nid in node_ids[1:])
@@ -541,7 +540,6 @@ def standalone_result(spec, scenario):
         sched, feed.sources(), hop_batch=scenario.hop_batch, workers=0
     ) as session:
         result = session.run()
-    sched.close()
     return result
 
 

@@ -65,7 +65,6 @@ def small_run():
     feed = CorridorStream(recording, chunk_samples=config.hop_length, rng=rng)
     with ParallelFleetStream(sched, feed.sources(), hop_batch=8, workers=0) as s:
         result = s.run()
-    sched.close()
     return config, result
 
 

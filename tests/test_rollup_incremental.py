@@ -393,7 +393,7 @@ def test_alert_trend_window_is_bounded():
 def test_status_line_reads_the_warm_rollup(capsys):
     code = main(
         ["city", "--corridors", "2", "--duration", "0.4", "--n-nodes", "2",
-         "--workers", "0", "--status-every", "2"]
+         "--workers", "0", "--hop-batch", "1", "--status-every", "2"]
     )
     assert code == 0
     out = capsys.readouterr().out

@@ -9,10 +9,11 @@ The contract under test, in layers:
 - the :class:`Pacer` backpressure policy widens on overrun, shrinks on
   headroom, and never leaves its configured bounds; the debounced
   :class:`OverrunPolicy` turns its records into sustained-overrun alerts;
-- :class:`ParallelFleetStream` produces **bit-identical** fused tracks to
-  the serial :class:`FleetStream` and the offline run, for workers 0 and 1
-  (multi-worker counts in the ``parallel``-marked class) and under any
-  adaptive hop-batch schedule the pacer might choose.
+- :class:`ParallelFleetStream` (the one fleet session, also exported as
+  :class:`FleetStream`) produces **bit-identical** fused tracks to the
+  offline run, for workers 0 and 1 (multi-worker counts in the
+  ``parallel``-marked class) and under any adaptive hop-batch schedule the
+  pacer might choose; without a pacer it holds the requested hop batch.
 """
 
 import os
@@ -434,16 +435,14 @@ def scene():
 
 @pytest.fixture(scope="module")
 def serial_reference(scene):
-    """Serial FleetStream session + offline run on the same scene."""
+    """Offline run + offline fusion on the same scene."""
     nodes, recording = scene
     cfg = config()
     offline = scheduler(nodes, cfg).run(recording)
     offline_tracks = fuse_fleet(
         offline.node_results, nodes, frame_period=cfg.frame_period_s
     )
-    stream = CorridorStream(recording, chunk_samples=256)
-    serial = scheduler(nodes, cfg).stream(stream.sources(), hop_batch=8).run()
-    return offline, offline_tracks, serial
+    return offline, offline_tracks
 
 
 def parallel_run(scene, **kwargs):
@@ -458,25 +457,23 @@ def parallel_run(scene, **kwargs):
 
 class TestParallelEquivalence:
     def test_workers0_matches_serial_and_offline(self, scene, serial_reference):
-        offline, offline_tracks, serial = serial_reference
+        offline, offline_tracks = serial_reference
         result = parallel_run(scene, workers=0)
         assert_frame_streams_equal(offline.node_results, result.node_results)
-        assert_frame_streams_equal(serial.node_results, result.node_results)
         assert_tracks_identical(offline_tracks, result.tracks)
-        assert_tracks_identical(serial.tracks, result.tracks)
         assert result.workers == 0
 
     @needs_processes
     def test_one_forked_worker_matches_serial(self, scene, serial_reference):
-        _, offline_tracks, serial = serial_reference
+        offline, offline_tracks = serial_reference
         result = parallel_run(scene, workers=1)
-        assert_frame_streams_equal(serial.node_results, result.node_results)
+        assert_frame_streams_equal(offline.node_results, result.node_results)
         assert_tracks_identical(offline_tracks, result.tracks)
         assert result.workers == 1
 
     def test_adaptive_batch_schedule_is_invariant(self, scene, serial_reference):
         """Whatever batch sizes the pacer picks, the tracks cannot change."""
-        _, offline_tracks, serial = serial_reference
+        offline, offline_tracks = serial_reference
         nodes, recording = scene
         cfg = config()
         sched = scheduler(nodes, cfg)
@@ -490,7 +487,7 @@ class TestParallelEquivalence:
                     pacer._batch = int(rng.integers(1, 13))
                 session.step()
             result = session.finalize()
-        assert_frame_streams_equal(serial.node_results, result.node_results)
+        assert_frame_streams_equal(offline.node_results, result.node_results)
         assert_tracks_identical(offline_tracks, result.tracks)
 
     def test_every_update_carries_a_stage_budget(self, scene):
@@ -529,17 +526,60 @@ class TestParallelEquivalence:
             assert health.n_overruns >= 0
             assert health.n_overrun_alerts >= 0
 
-    def test_scheduler_stream_dispatch(self, scene):
+    def test_one_session_class(self):
+        import repro.fleet
+        import repro.fleet.scheduler
+        import repro.stream.parallel
+
+        assert (
+            repro.fleet.FleetStream
+            is repro.fleet.scheduler.FleetStream
+            is repro.stream.parallel.ParallelFleetStream
+        )
+
+    @pytest.mark.parametrize("workers", [0, pytest.param(1, marks=needs_processes)])
+    def test_stream_default_honours_hop_batch(self, scene, serial_reference, workers):
+        """Without a pacer the session advances exactly ``hop_batch`` hops
+        per step, never adapts, budgets every update, and matches the
+        offline run frame for frame."""
+        offline, offline_tracks = serial_reference
         nodes, recording = scene
         sched = scheduler(nodes, config())
         sources = CorridorStream(recording, chunk_samples=256).sources()
-        assert isinstance(sched.stream(sources), FleetStream)
+        with sched.stream(sources, hop_batch=8, workers=workers) as session:
+            assert isinstance(session, FleetStream)
+            assert session.workers == workers
+            while not session.done:
+                assert session.batches() == [8] * len(sched.shards)
+                session.step()
+            assert session.batches() == [8] * len(sched.shards)
+            result = session.finalize()
+        for stats in result.pacer_stats.values():
+            assert stats.n_widenings == 0
+            assert stats.n_shrinks == 0
+            assert stats.min_batch_used == stats.max_batch_used == 8
+        assert result.updates
+        assert all(isinstance(u.budget, StageBudget) for u in result.updates)
+        assert len(result.stage_budgets) == len(result.updates)
+        assert_frame_streams_equal(offline.node_results, result.node_results)
+        assert_tracks_identical(offline_tracks, result.tracks)
+
+    def test_explicit_pacer_adapts_in_process(self, scene, serial_reference):
+        """A caller-supplied PacerConfig opts into adaptation, in-process
+        too: every shard's batch leaves 8 (a 3-node step finishes far
+        inside its hop budget, so in practice it shrinks toward
+        ``min_batch``) — and the tracks cannot change."""
+        _, offline_tracks = serial_reference
+        nodes, recording = scene
+        sched = scheduler(nodes, config())
         sources = CorridorStream(recording, chunk_samples=256).sources()
-        session = sched.stream(sources, workers=0)
-        assert isinstance(session, ParallelFleetStream)
-        session.close()
-        with pytest.raises(ValueError, match="workers"):
-            sched.stream(sources, pacer=PacerConfig())
+        with sched.stream(sources, hop_batch=8, pacer=PacerConfig(min_batch=1)) as session:
+            assert session.workers == 0
+            result = session.run()
+        for stats in result.pacer_stats.values():
+            assert stats.n_shrinks + stats.n_widenings >= 1
+            assert (stats.min_batch_used, stats.max_batch_used) != (8, 8)
+        assert_tracks_identical(offline_tracks, result.tracks)
 
     def test_step_after_close_raises(self, scene):
         nodes, recording = scene
@@ -639,9 +679,9 @@ class TestPacedSessions:
 class TestMultiWorker:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_multi_worker_matches_serial(self, scene, serial_reference, workers):
-        _, offline_tracks, serial = serial_reference
+        offline, offline_tracks = serial_reference
         result = parallel_run(scene, workers=workers)
-        assert_frame_streams_equal(serial.node_results, result.node_results)
+        assert_frame_streams_equal(offline.node_results, result.node_results)
         assert_tracks_identical(offline_tracks, result.tracks)
         # Clamped to the shard count when fewer shards than workers exist.
         assert result.workers == min(workers, len(result.shards))
@@ -668,47 +708,3 @@ class TestMultiWorker:
             assert "died" in str(err) and "fleet/shard" in str(err)
         finally:
             session.close()
-
-
-# --------------------------------------------------------------------------
-# FleetScheduler: persistent executor
-# --------------------------------------------------------------------------
-
-
-class TestPersistentExecutor:
-    def test_executor_survives_across_runs(self, scene):
-        nodes, recording = scene
-        sched = FleetScheduler(
-            nodes,
-            config(),
-            detector=OracleDetector("siren_wail"),
-            n_shards=2,
-            use_threads=True,
-        )
-        assert sched._executor is None  # lazy: no pool before the first run
-        first = sched.run(recording)
-        pool = sched._executor
-        assert pool is not None
-        second = sched.run(recording)
-        assert sched._executor is pool  # reused, not rebuilt per call
-        assert_frame_streams_equal(first.node_results, second.node_results)
-        sched.close()
-        assert sched._executor is None
-        sched.close()  # idempotent
-
-    def test_context_manager_closes(self, scene):
-        nodes, recording = scene
-        with FleetScheduler(
-            nodes,
-            config(),
-            detector=OracleDetector("siren_wail"),
-            n_shards=2,
-            use_threads=True,
-        ) as sched:
-            threaded = sched.run(recording)
-            assert sched._executor is not None
-        assert sched._executor is None
-        reference = FleetScheduler(
-            nodes, config(), detector=OracleDetector("siren_wail"), n_shards=2
-        ).run(recording)
-        assert_frame_streams_equal(reference.node_results, threaded.node_results)

@@ -254,7 +254,6 @@ class TestStreamedMultilateration:
         _, _, _, none_res = self.setup_session(scene)
         assert sum(t.n_multilaterated for t in none_res.tracks) == 0
         assert sum(t.n_multilaterated for t in tap_res.tracks) > 0
-        sch.close()
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_localization_quality_matches_full_recording_mlat(self, seed):
@@ -274,7 +273,6 @@ class TestStreamedMultilateration:
         # taps feeding *wrong* audio (which sends fixes tens of metres off),
         # not against frame-level jitter between the two window clamps.
         assert r_tap < 3.0 * r_rec + 5.0
-        sch.close()
 
     def test_small_tap_window_falls_back_cleanly(self):
         """A tap far too small to keep the multilateration window resident
@@ -283,4 +281,3 @@ class TestStreamedMultilateration:
         sch, _, rec, res = self.setup_session(scene, tap_window_s=1e-6)
         # Tracks still exist and are confirmed via bearing triangulation.
         assert any(t.confirmed for t in res.tracks)
-        sch.close()

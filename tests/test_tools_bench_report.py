@@ -1,17 +1,27 @@
-"""Tests for the bench-trail report tool (``repro.tools.bench_report``)."""
+"""Tests for the bench-trail report tool (``repro.tools.bench_report``)
+and the rows ``benchmarks/conftest.py`` writes to the trail."""
 
+import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from repro.tools.bench_report import (
+    MULTICORE_ONLY,
     check_rows,
     group_rows,
     load_rows,
     main,
     summarize,
 )
+
+# benchmarks/ is not a package: load its conftest by path.
+_CONFTEST = Path(__file__).resolve().parents[1] / "benchmarks" / "conftest.py"
+_spec = importlib.util.spec_from_file_location("bench_conftest_rows", _CONFTEST)
+bench_conftest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_conftest)
 
 
 def _trail(tmp_path, rows, name="trail.json"):
@@ -84,6 +94,29 @@ class TestCheck:
         assert main(["--json", _trail(tmp_path, rows), "--check"]) == 1
         assert "missing wall_ms, speedup" in capsys.readouterr().err
 
+    def test_multicore_rows_named_when_absent(self, tmp_path, capsys):
+        rows = ROWS + [{"bench": "E16_parallel_fleet_2w", "wall_ms": 9.0, "speedup": 1.1}]
+        assert main(["--json", _trail(tmp_path, rows), "--check"]) == 0
+        out = capsys.readouterr().out
+        skipped = out.split("skipped (multi-core only, no rows): ", 1)[1].splitlines()[0]
+        assert skipped.split(", ") == [b for b in MULTICORE_ONLY if b != "E16_parallel_fleet_2w"]
+
+    def test_multicore_list_names_rows_the_parallel_benches_record(self):
+        """Every listed name is a row a ``parallel``-marked bench module
+        records (literally, or as ``f"..._{workers}w"`` over its worker
+        counts) — no phantom bench that ``--check`` would always skip."""
+        sources = [
+            path.read_text()
+            for path in _CONFTEST.parent.glob("test_bench_*.py")
+            if "pytest.mark.parallel" in path.read_text()
+        ]
+        text = "\n".join(sources)
+        assert "E16_detect_to_update" in MULTICORE_ONLY
+        assert "E18_paced_min_batch" in MULTICORE_ONLY
+        for name in MULTICORE_ONLY:
+            template = re.sub(r"_\dw$", "_{workers}w", name)
+            assert f'"{name}"' in text or f'f"{template}"' in text, name
+
     def test_check_rows_reports_every_problem(self):
         rows = [
             {"bench": "a", "wall_ms": 1.0, "speedup": float("nan")},
@@ -111,6 +144,22 @@ class TestReport:
         path.write_text("{}")
         with pytest.raises(ValueError):
             load_rows(path)
+
+
+class TestBenchRows:
+    def test_row_records_commit_and_cpu(self):
+        row = bench_conftest.bench_row("E0_demo", 12.0, 1.5, p95_ms=3.0)
+        assert row["bench"] == "E0_demo"
+        assert row["p95_ms"] == 3.0
+        assert row["cpu_count"] >= 1
+        assert row["blas_threads"] >= 1
+        assert isinstance(row["cpu_model"], str) and row["cpu_model"]
+        sha = row["git_sha"]
+        assert sha is None or re.fullmatch(r"[0-9a-f]{40}", sha)
+        assert check_rows([row]) == []
+
+    def test_git_sha_is_none_outside_a_checkout(self, tmp_path):
+        assert bench_conftest._git_sha(tmp_path) is None
 
 
 class TestRepoTrail:
