@@ -24,14 +24,12 @@ package closes that gap with a hop-clocked runtime over the same shared
   latency decomposition stamped on every fused update;
 - :mod:`repro.stream.pool` — the :class:`ShardWorkerPool` of forked
   workers serving shard runners of *many* sessions (register/step/
-  release/recover protocol; worker death surfaces as
-  :class:`WorkerCrashed`);
-- :mod:`repro.stream.slab` — :class:`SharedResultSlab`, the per-worker
-  seqlock'd shared-memory reply slots that carry each shard's
-  :class:`HopReply` back to the main process with zero pickling;
+  release/recover protocol over each worker's pipe; worker death surfaces
+  as :class:`WorkerCrashed`);
 - :mod:`repro.stream.parallel` — the fleet session runtime
   (:class:`ParallelFleetStream`, also :class:`repro.fleet.FleetStream`):
-  shard runners in-process, on a private forked pool, or on a shared one.
+  shard runners in-process, on a private forked pool, or on a shared one,
+  each step answering with a :class:`HopReply`.
 
 **Work stealing and shard migration.**  The pool does not pin shards to
 the worker that registered them: each worker has a deque of hop-step work
@@ -86,13 +84,13 @@ from repro.stream.budget import (
     summarize_budgets,
 )
 from repro.stream.pacer import Pacer, PacerConfig, PacerStats, SharedCapacity
-from repro.stream.slab import HopReply, SharedResultSlab, StringInterner
 from repro.stream.pool import ShardWorkerPool, WorkerCrashed
 from repro.stream.tap import SampleTap, mlat_tap_capacity
 
 # Imported last: parallel pulls in repro.fleet.fusion, which may re-enter
 # this package mid-initialization — everything it needs is already bound.
 from repro.stream.parallel import (
+    HopReply,
     ParallelFleetStream,
     ParallelStreamResult,
     parallel_supported,
@@ -114,11 +112,9 @@ __all__ = [
     "STAGES",
     "SampleTap",
     "SharedCapacity",
-    "SharedResultSlab",
     "SharedRingBuffer",
     "ShardWorkerPool",
     "StageBudget",
-    "StringInterner",
     "WorkerCrashed",
     "StreamPipeline",
     "StreamRunResult",

@@ -366,7 +366,7 @@ class Pacer:
         # relaxes as the pool drains) — the whole city amortizes harder,
         # not just the shards that happen to overrun.
         floor = cfg.min_batch
-        if self.capacity is not None and hasattr(self.capacity, "min_batch_scale"):
+        if self.capacity is not None:
             scale = self.capacity.min_batch_scale()
             if scale > 1:
                 floor = min(cfg.min_batch * scale, cfg.max_batch)

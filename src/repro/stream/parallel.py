@@ -81,9 +81,8 @@ from repro.ssl.tracking import KalmanDoaTracker
 from repro.stream.budget import StageBudget, summarize_budgets
 from repro.stream.engine import IngestStats, NodeIngest
 from repro.stream.pacer import Pacer, PacerConfig, PacerStats, SharedCapacity
-from repro.stream.pool import ShardWorkerPool, WorkerCrashed
+from repro.stream.pool import SessionStats, ShardWorkerPool, WorkerCrashed
 from repro.stream.ring import RingBuffer, SharedRingBuffer
-from repro.stream.slab import HopReply
 from repro.stream.source import ChunkSource
 from repro.stream.tap import SampleTap, mlat_tap_capacity
 
@@ -91,6 +90,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.batch import BlockPipeline
 
 __all__ = [
+    "HopReply",
     "parallel_supported",
     "ParallelFleetStream",
     "ParallelStreamResult",
@@ -116,6 +116,20 @@ def parallel_supported() -> str | None:
     except Exception as exc:  # pragma: no cover - environment specific
         return f"multiprocessing.shared_memory is unavailable: {exc}"
     return None
+
+
+@dataclass(frozen=True)
+class HopReply:
+    """One shard's kernel pass: which nodes produced frames, their rows,
+    and the wall time the pass took (pop + kernel, seconds).
+
+    What :meth:`_ShardRunner.step` returns, in-process or pickled back over
+    a pool worker's pipe.
+    """
+
+    nids: tuple[str, ...]
+    results: dict[str, list[FrameResult]]
+    kernel_s: float
 
 
 class _ShardRunner:
@@ -248,10 +262,6 @@ class ParallelStreamResult:
         Pool-scheduling accounting for this session: shards stolen by idle
         workers, total shard migrations (steals + forced), and the p95 of
         the pool backlog sampled at each dispatch.  All zero in-process.
-    n_slab_replies, n_pipe_fallbacks:
-        How the session's hop replies traveled: decoded from the worker's
-        shared-memory slab (zero pickling) vs pickled over the pipe
-        (oversized or non-standard replies).
     """
 
     node_results: dict[str, list[FrameResult]]
@@ -272,8 +282,6 @@ class ParallelStreamResult:
     n_steals: int = 0
     n_migrations: int = 0
     queue_depth_p95: float = 0.0
-    n_slab_replies: int = 0
-    n_pipe_fallbacks: int = 0
 
     @property
     def realtime(self) -> bool:
@@ -601,13 +609,7 @@ class ParallelFleetStream:
         """Pool-scheduling accounting of this session (zeros in-process)."""
         if self._pool is not None:
             return self._pool.session_stats(self.session_id)
-        return {
-            "n_steals": 0,
-            "n_migrations": 0,
-            "queue_depth_p95": 0.0,
-            "n_slab_replies": 0,
-            "n_pipe_fallbacks": 0,
-        }
+        return SessionStats().summary()
 
     @property
     def tap_misses(self) -> dict[str, int]:
@@ -653,8 +655,7 @@ class ParallelFleetStream:
             self._pacers[si].wait(self._t[si])
             t_ing = time.perf_counter()
             for nid in shard:
-                ing = self._ingest[nid]
-                ing.pull(None if ing._exhausted else self._t[si])
+                self._ingest[nid].pull(self._t[si])
             ingest_wall.append(time.perf_counter() - t_ing)
         if self._pool is not None:
             self._pool.step_send(self.session_id)
@@ -778,8 +779,6 @@ class ParallelFleetStream:
             n_steals=sched["n_steals"],
             n_migrations=sched["n_migrations"],
             queue_depth_p95=sched["queue_depth_p95"],
-            n_slab_replies=sched["n_slab_replies"],
-            n_pipe_fallbacks=sched["n_pipe_fallbacks"],
         )
 
     def close(self) -> None:

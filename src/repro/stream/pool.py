@@ -28,12 +28,11 @@ of static pinning:
   already in flight, and preloaded shards (no registration payload), are
   never stolen.  ``steal=False`` keeps the static pinning (the E19
   baseline).
-- **hop results come back through shared memory.**  Each worker owns a
-  :class:`~repro.stream.slab.SharedResultSlab`; a
-  :class:`~repro.stream.slab.HopReply` is encoded into a seqlock'd slot
-  as flat int64/float64 arrays and only the slot index crosses the pipe —
-  zero pickling on the steady-state result path (the pipe remains the
-  control channel and the fallback for oversized or non-standard replies).
+- **step replies ride the worker pipe.**  A step's reply travels back
+  pickled, as ``("stepped", session, shard, reply, checkpoint)``, on the
+  same pipe that carries the commands.  Shared-memory reply slots were
+  tried and removed: decoding a reply out of them cost the main process
+  more than unpickling it.
 - **worker death is a typed, attributed error.**  Any pipe operation on a
   dead worker raises :class:`WorkerCrashed` naming the shards that worker
   owned.  Registered runners checkpoint their mutable state with every
@@ -48,29 +47,29 @@ of static pinning:
   the city's pacers can widen ``min_batch`` under sustained pressure (see
   :mod:`repro.stream.pacer`).
 
-The pool is deliberately ignorant of what a "runner" is: anything with
-``step() -> reply`` works, plus ``state_dict()``/``load_state_dict(state)``
-when registered recoverably.  :mod:`repro.stream.parallel` provides the
-fleet runner; :mod:`repro.city` builds the multi-session supervisor on top.
+The pool is deliberately ignorant of what a "runner" is: anything with a
+picklable ``step() -> reply`` works, plus ``state_dict()``/
+``load_state_dict(state)`` when registered recoverably; replies are handed
+back exactly as the runner returned them.  :mod:`repro.stream.parallel`
+provides the fleet runner and its reply format; :mod:`repro.city` builds
+the multi-session supervisor on top.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import pickle
-from collections import deque
+from collections import Counter, deque
 from multiprocessing.connection import wait as _conn_wait
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.stream.slab import HopReply, SharedResultSlab, StringInterner
-
-__all__ = ["WorkerCrashed", "ShardWorkerPool"]
+__all__ = ["SessionStats", "WorkerCrashed", "ShardWorkerPool"]
 
 # Step commands each worker holds in its pipe at once.  Two keeps a worker
-# busy while its previous reply crosses back (pipelining) and matches the
-# slab's slot count: the main process decodes slot k before dispatching the
-# command that could rewrite it, so slot reuse is race-free by protocol.
+# busy while its previous reply crosses back (pipelining); a worker whose
+# window is full with items still queued behind it is what makes it a steal
+# victim (see ShardWorkerPool._steal_into).
 _MAX_INFLIGHT = 2
 
 
@@ -115,7 +114,7 @@ def _shard_label(sid: str, key: int) -> str:
     return f"{sid}/shard{key}"
 
 
-def _pool_worker_main(owned: dict, checkpointed: set, conn, slab) -> None:
+def _pool_worker_main(owned: dict, checkpointed: set, conn) -> None:
     """Worker loop: register/restore/step/drop/release runners on command.
 
     ``owned`` maps ``(session_id, shard_key)`` to a runner; preloaded
@@ -126,17 +125,10 @@ def _pool_worker_main(owned: dict, checkpointed: set, conn, slab) -> None:
     one reply (``("ok",)``, ``("stepped", ...)`` or :class:`_WorkerError`),
     so the main side can treat the pipe as a FIFO of request/response
     pairs.  ``None`` shuts the worker down.
-
-    Step replies ride the shared-memory ``slab`` whenever the reply is a
-    :class:`~repro.stream.slab.HopReply` that fits a slot (the pipe then
-    carries only the slot index plus newly interned strings); anything
-    else falls back to the pipe, pickled as before.
     """
     import traceback
 
-    interner = StringInterner()
     dormant: dict = {}
-    slot = 0
     try:
         while True:
             msg = conn.recv()
@@ -153,16 +145,7 @@ def _pool_worker_main(owned: dict, checkpointed: set, conn, slab) -> None:
                         if (sid, key) in checkpointed
                         else None
                     )
-                    kind = body = None
-                    fresh: tuple = ()
-                    if slab is not None and isinstance(reply, HopReply):
-                        written = slab.try_write(slot, reply, interner)
-                        if written is not None:
-                            kind, body, fresh = "slab", slot, written
-                            slot = (slot + 1) % slab.n_slots
-                    if kind is None:
-                        kind, body = "pipe", reply
-                    conn.send(("stepped", sid, key, kind, body, state, fresh))
+                    conn.send(("stepped", sid, key, reply, state))
                 elif cmd == "register":
                     _, sid, key, blob, checkpoint = msg
                     if blob is None:
@@ -204,14 +187,40 @@ def _pool_worker_main(owned: dict, checkpointed: set, conn, slab) -> None:
             pass
 
 
-def _new_session_stats() -> dict:
-    return {
-        "n_steals": 0,
-        "n_migrations": 0,
-        "n_slab_replies": 0,
-        "n_pipe_fallbacks": 0,
-        "queue_depths": [],
-    }
+@dataclass
+class SessionStats:
+    """One session's pool-scheduling accounting.
+
+    ``depths`` tallies the pool backlog sampled at each of the session's
+    dispatches (``depth -> count``), so it grows with the distinct depths
+    seen, not with the session's length.  A fresh record is the all-zero
+    accounting of a session that never dispatched (or runs in-process).
+    """
+
+    n_steals: int = 0
+    n_migrations: int = 0
+    depths: Counter = field(default_factory=Counter)
+
+    def note_depth(self, depth: int) -> None:
+        self.depths[depth] += 1
+
+    def summary(self) -> dict:
+        """``n_steals``, ``n_migrations`` and ``queue_depth_p95``: the
+        nearest-rank p95 of the tallied depths (the value at index
+        ``min(n - 1, int(0.95 * n))`` of the sorted samples), read off the
+        counts in O(distinct depths); 0.0 before any dispatch."""
+        n = sum(self.depths.values())
+        rank, seen, p95 = min(n - 1, int(0.95 * n)), 0, 0.0
+        for depth in sorted(self.depths):
+            seen += self.depths[depth]
+            if seen > rank:
+                p95 = float(depth)
+                break
+        return {
+            "n_steals": self.n_steals,
+            "n_migrations": self.n_migrations,
+            "queue_depth_p95": p95,
+        }
 
 
 class ShardWorkerPool:
@@ -241,13 +250,11 @@ class ShardWorkerPool:
         Optional :class:`~repro.stream.pacer.SharedCapacity` fed the
         pool's backlog and steal rate each ``step_send`` (also settable
         later via the :attr:`capacity` attribute).
-    slab_slot_ints, slab_slot_floats:
-        Per-slot payload capacity of each worker's reply slab (see
-        :class:`~repro.stream.slab.SharedResultSlab`).
 
-    The pool must be closed (:meth:`close`) to join its workers and unlink
-    their reply slabs; sessions should :meth:`release` themselves when they
-    finish so their slots free up for later joiners.
+    Every step reply comes back pickled over the worker's pipe, with the
+    shard's checkpoint when it was registered.  The pool must be closed
+    (:meth:`close`) to join its workers; sessions should :meth:`release`
+    themselves when they finish so their slots free up for later joiners.
     """
 
     def __init__(
@@ -258,8 +265,6 @@ class ShardWorkerPool:
         max_shards_per_worker: int | None = None,
         steal: bool = True,
         capacity=None,
-        slab_slot_ints: int = 8192,
-        slab_slot_floats: int = 8192,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1 (use in-process execution for 0)")
@@ -272,22 +277,12 @@ class ShardWorkerPool:
         self._ctx = multiprocessing.get_context("fork")
         self._procs: list = [None] * self.workers
         self._conns: list = [None] * self.workers
-        # Reply slabs are created *before* the fork so workers inherit the
-        # mapping; the pool owns (and finally unlinks) the segments.
-        self._slabs = [
-            SharedResultSlab(
-                n_slots=_MAX_INFLIGHT,
-                slot_ints=slab_slot_ints,
-                slot_floats=slab_slot_floats,
-            )
-            for _ in range(self.workers)
-        ]
         # Main-side scheduling state.  Per worker: the deque of queued
         # (session, shard) hop-step items, the FIFO of items whose step
-        # command is in the pipe, the FIFO of *all* expected replies
+        # command is in the pipe, and the FIFO of *all* expected replies
         # (("ok",) acks interleave with ("step", sid, key) entries in
         # command order — the pipe is a FIFO, so one queue disambiguates
-        # them), and the mirror of the worker's string-intern table.
+        # them).
         self._assign: dict[tuple[str, int], int] = {}
         self._payloads: dict[tuple[str, int], bytes] = {}
         self._checkpoints: dict[tuple[str, int], bytes] = {}
@@ -295,15 +290,12 @@ class ShardWorkerPool:
         self._queues: list[deque] = [deque() for _ in range(self.workers)]
         self._inflight: list[deque] = [deque() for _ in range(self.workers)]
         self._expect: list[deque] = [deque() for _ in range(self.workers)]
-        self._strings: list[dict[int, str]] = [{} for _ in range(self.workers)]
         # Per-session step generations: each step_send appends one
         # {pending keys, replies} record; step_collect completes the oldest.
         self._gens: dict[str, deque] = {}
-        self._session_stats: dict[str, dict] = {}
+        self._session_stats: dict[str, SessionStats] = {}
         self.n_steals = 0
         self.n_migrations = 0
-        self.n_slab_replies = 0
-        self.n_pipe_fallbacks = 0
         self._noted_steals = 0
         # Test hook: called between the loser's drop and the thief's
         # register during a migration (the crash-window regression tests
@@ -346,32 +338,10 @@ class ShardWorkerPool:
         return sorted({sid for sid, _ in self._assign})
 
     def session_stats(self, session_id: str) -> dict:
-        """Scheduling accounting for one session: ``n_steals``,
-        ``n_migrations``, ``n_slab_replies``, ``n_pipe_fallbacks`` and the
-        p95 of the pool backlog sampled at each of its dispatches."""
-        stats = self._session_stats.get(session_id)
-        if stats is None:
-            return {
-                "n_steals": 0,
-                "n_migrations": 0,
-                "n_slab_replies": 0,
-                "n_pipe_fallbacks": 0,
-                "queue_depth_p95": 0.0,
-            }
-        depths = stats["queue_depths"]
-        if depths:
-            ordered = sorted(depths)
-            # Nearest-rank p95 without pulling numpy into the hot path.
-            p95 = float(ordered[min(len(ordered) - 1, int(0.95 * len(ordered)))])
-        else:
-            p95 = 0.0
-        return {
-            "n_steals": stats["n_steals"],
-            "n_migrations": stats["n_migrations"],
-            "n_slab_replies": stats["n_slab_replies"],
-            "n_pipe_fallbacks": stats["n_pipe_fallbacks"],
-            "queue_depth_p95": p95,
-        }
+        """Scheduling accounting for one session (see
+        :meth:`SessionStats.summary`); all zero for an unknown session."""
+        stats = self._session_stats.get(session_id) or SessionStats()
+        return stats.summary()
 
     def register(self, session_id: str, runners: Mapping[int, object]) -> None:
         """Register a joining session's shard runners (least-loaded workers).
@@ -401,7 +371,7 @@ class ShardWorkerPool:
             self._payloads[shard] = blob
             self._seeded[shard] = {w}
         self._drain_acks()
-        self._session_stats.setdefault(session_id, _new_session_stats())
+        self._session_stats.setdefault(session_id, SessionStats())
 
     def release(self, session_id: str) -> None:
         """Drop a session's runners — live and dormant — from every worker
@@ -458,14 +428,14 @@ class ShardWorkerPool:
             self._queues[self._assign[(session_id, key)]].append((session_id, key))
         for w in range(self.workers):
             self._fill(w)
-        stats = self._session_stats.setdefault(session_id, _new_session_stats())
+        stats = self._session_stats.setdefault(session_id, SessionStats())
         backlog = sum(
             len(self._queues[w]) + len(self._inflight[w]) for w in range(self.workers)
         )
-        stats["queue_depths"].append(
+        stats.note_depth(
             max(len(self._queues[w]) + len(self._inflight[w]) for w in range(self.workers))
         )
-        if self.capacity is not None and hasattr(self.capacity, "note_pressure"):
+        if self.capacity is not None:
             steals = self.n_steals - self._noted_steals
             self._noted_steals = self.n_steals
             self.capacity.note_pressure(backlog, steals)
@@ -550,9 +520,8 @@ class ShardWorkerPool:
             pending = list(self._inflight[w])
             self._inflight[w].clear()
             self._expect[w].clear()
-            # The respawned worker starts a fresh interner and an empty
-            # dormant cache; its old string ids and seeded copies are gone.
-            self._strings[w] = {}
+            # The respawned worker starts with an empty dormant cache; its
+            # seeded copies are gone.
             for seeded in self._seeded.values():
                 seeded.discard(w)
             try:
@@ -560,7 +529,6 @@ class ShardWorkerPool:
             except OSError:  # pragma: no cover
                 pass
             proc.join(timeout=1.0)
-            self._slabs[w].reset()
             self._spawn(w, {})
             for sid, key in shards:
                 self._expect[w].append(("ok",))
@@ -579,8 +547,7 @@ class ShardWorkerPool:
         return restarted
 
     def close(self) -> None:
-        """Shut every worker down, join it, and unlink the reply slabs
-        (idempotent)."""
+        """Shut every worker down and join it (idempotent)."""
         if self._closed:
             return
         self._closed = True
@@ -604,11 +571,6 @@ class ShardWorkerPool:
             try:
                 conn.close()
             except OSError:  # pragma: no cover
-                pass
-        for slab in self._slabs:
-            try:
-                slab.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
                 pass
         self._procs = [None] * self.workers
         self._conns = [None] * self.workers
@@ -640,11 +602,11 @@ class ShardWorkerPool:
     def _spawn(self, w: int, owned: dict) -> None:
         parent_conn, child_conn = self._ctx.Pipe()
         # Preloaded (fork-inherited) runners never checkpoint: with no
-        # registration payload to replay they are unrecoverable anyway, and
-        # skipping the per-step state pickle keeps the PR 6 zero-pickle path.
+        # registration payload to replay they are unrecoverable anyway, so
+        # their step replies skip the per-step state pickle.
         proc = self._ctx.Process(
             target=_pool_worker_main,
-            args=(owned, set(), child_conn, self._slabs[w]),
+            args=(owned, set(), child_conn),
             daemon=True,
         )
         proc.start()
@@ -756,11 +718,11 @@ class ShardWorkerPool:
             self._queues[src].extend(remaining)
         self._assign[shard] = dst
         self.n_migrations += 1
-        stats = self._session_stats.setdefault(sid, _new_session_stats())
-        stats["n_migrations"] += 1
+        stats = self._session_stats.setdefault(sid, SessionStats())
+        stats.n_migrations += 1
         if stolen:
             self.n_steals += 1
-            stats["n_steals"] += 1
+            stats.n_steals += 1
         if self._migration_hook is not None:
             self._migration_hook(shard, src, dst)
         seeded = self._seeded.setdefault(shard, set())
@@ -829,7 +791,7 @@ class ShardWorkerPool:
             return
         if msg[0] != "stepped":  # pragma: no cover - protocol misuse
             raise RuntimeError(f"unexpected worker reply: {msg!r}")
-        _, sid, key, kind, body, state, fresh = msg
+        _, sid, key, reply, state = msg
         if (sid, key) != (exp[1], exp[2]):  # pragma: no cover - protocol misuse
             raise RuntimeError(
                 f"out-of-order step reply: got {_shard_label(sid, key)}, "
@@ -837,17 +799,6 @@ class ShardWorkerPool:
             )
         if self._inflight[w] and self._inflight[w][0] == (sid, key):
             self._inflight[w].popleft()
-        stats = self._session_stats.setdefault(sid, _new_session_stats())
-        if kind == "slab":
-            if fresh:
-                self._strings[w].update(dict(fresh))
-            reply = self._slabs[w].read(body, self._strings[w])
-            self.n_slab_replies += 1
-            stats["n_slab_replies"] += 1
-        else:
-            reply = body
-            self.n_pipe_fallbacks += 1
-            stats["n_pipe_fallbacks"] += 1
         # Commit the checkpoint immediately (not at collect time): the
         # worker's runner has already advanced past this step, so a crash
         # from here on must restore *this* state or the re-run would fork
