@@ -5,7 +5,9 @@ measures what moving each shard's kernel pass into a forked worker process
 buys.  The 4-node dense corridor (oracle detector: every hop localizes)
 runs once through the fleet session in-process (``workers=0``, the
 baseline) and then at 1, 2 and 4 workers, all on the same scene and all
-without a pacer, i.e. at the fixed hop batch 8.  The claims asserted:
+without a pacer, i.e. at the fixed hop batch 8.  A pooled session's wall
+time covers forking its private pool and registering its shard runners
+(pipelines pickle once per shard) as well as the run.  The claims:
 
 1. fused corridor tracks are **bit-identical** across the in-process
    baseline and every worker count (the determinism contract of
@@ -17,6 +19,10 @@ without a pacer, i.e. at the fixed hop batch 8.  The claims asserted:
    ``detect_to_update_ms`` p95 stays inside the nominal budget of one hop
    batch of delivery delay plus one hop of processing.
 
+Claim 1 and claim 3's one-budget-per-update are asserted; the p95 of
+claim 3 is a wall-clock figure, guarded on the ``E16_detect_to_update``
+row in a bench session.
+
 E18 measures the other end of the latency/throughput trade: a lock-step
 ``min_batch=1`` session (what a paced real-time deployment rides under
 headroom) against the fixed 8-hop batch.  Because ``delivery_ms`` is
@@ -26,7 +32,9 @@ detect→update latency a ``pace=True`` session would deliver, without
 sleeping through the 2 s scene.  The fused tracks must stay bit-identical
 (batching is a latency knob, never a results knob) while the p95 collapses
 from most-of-a-batch (~225 ms) to processing-only (a few ms): at lock-step
-batch 1 every frame is popped the moment its hop completes.
+batch 1 every frame is popped the moment its hop completes.  The identity
+is asserted; the latency drop is guarded on the ``E18_paced_min_batch``
+row.
 
 Rows ``{bench, wall_ms, speedup, workers, ...}`` land in
 ``BENCH_pipeline.json`` (with ``cpu_count``/``blas_threads`` context from
@@ -35,6 +43,7 @@ the conftest); the CI guards are
     --bench-min-speedup E16_parallel_fleet_4w=1.8
     --bench-max-p95 E16_detect_to_update=250
     --bench-max-p95 E18_paced_min_batch=48
+    --bench-min-speedup E18_paced_min_batch=1.0
 
 The whole module is marked ``parallel`` — it skips on single-core runners,
 where a process-level speedup is unmeasurable by construction.
@@ -142,16 +151,13 @@ def test_e16_parallel_fleet_speedup_and_budget(corridor, bench_json):
         # Claim 1: bit-identical fused tracks at every worker count.
         _assert_tracks_identical(serial.tracks, result.tracks, f"workers={workers}")
 
-        # Claim 3: every update budgeted; p95 inside the nominal budget.
+        # Claim 3: every update budgeted; the p95 against the nominal
+        # budget is guarded on the E16_detect_to_update row.
         assert len(result.stage_budgets) == len(result.updates)
         d2u = result.detect_to_update
         assert d2u is not None
         d2u_p95_ms = d2u.p95_s * 1e3
         d2u_budget_ms = d2u.deadline_s * 1e3
-        assert d2u_p95_ms <= d2u_budget_ms, (
-            f"workers={workers}: detect-to-update p95 {d2u_p95_ms:.1f} ms "
-            f"exceeds the {d2u_budget_ms:.1f} ms nominal budget"
-        )
 
         rows.append(
             (f"workers={workers}", wall_ms, speedup, d2u_p95_ms, d2u_budget_ms)
@@ -205,7 +211,8 @@ def test_e18_min_batch_detect_to_update(corridor, bench_json):
     E16, same scene, same workers.  Claims:
 
     1. fused tracks are bit-identical across the two batch schedules —
-       the batch size trades latency for throughput, never results;
+       the batch size trades latency for throughput, never results
+       (asserted);
     2. detect→update p95 at min batch beats the 8-hop session's p95:
        delivery — the stream-clock wait for the batch pop, which dominates
        the 8-hop session at up to 7 hops (224 ms) — collapses to ~zero,
@@ -214,11 +221,13 @@ def test_e18_min_batch_detect_to_update(corridor, bench_json):
     3. the min-batch p95 stays inside its own nominal budget of
        ``(1 + 1) * 32 ms``.
 
-    The guarded row is ``E18_paced_min_batch`` (ceiling 48 ms = 1.5 hop
+    Claims 2 and 3 are wall-clock figures, guarded on the
+    ``E18_paced_min_batch`` row: ``--bench-max-p95`` at 48 ms (1.5 hop
     periods — with delivery at zero that is pure processing headroom, an
-    order of magnitude above the few-ms kernels); its ``speedup`` field records
-    the *latency* ratio p95(batch 8) / p95(batch 1), not a wall-clock
-    ratio — the bench exists to pin latency, not throughput.
+    order of magnitude above the few-ms kernels, and inside claim 3's
+    budget), and ``--bench-min-speedup`` at 1.0 on its ``speedup`` field,
+    which records the *latency* ratio p95(batch 8) / p95(batch 1), not a
+    wall-clock ratio — the bench exists to pin latency, not throughput.
     """
     nodes, recording = corridor
 
@@ -241,14 +250,6 @@ def test_e18_min_batch_detect_to_update(corridor, bench_json):
     p95_8 = batch8.detect_to_update.p95_s * 1e3
     p95_1 = minb.detect_to_update.p95_s * 1e3
     budget_1 = minb.detect_to_update.deadline_s * 1e3
-    assert p95_1 < p95_8, (
-        f"min-batch d2u p95 {p95_1:.1f} ms not below the 8-hop session's "
-        f"{p95_8:.1f} ms — riding min batch bought nothing"
-    )
-    assert p95_1 <= budget_1, (
-        f"min-batch d2u p95 {p95_1:.1f} ms exceeds the {budget_1:.1f} ms "
-        f"nominal budget"
-    )
 
     print_table(
         f"E18 min-batch detect→update ({N_NODES} nodes, {DURATION_S:.0f} s, dense)",

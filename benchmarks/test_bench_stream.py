@@ -4,12 +4,12 @@ The paper's Sec. II requirement is real-time low-latency operation; E13/E14
 showed the *throughput* of the offline fleet engine, E15 shows the *latency*
 of the live one: a 4-node corridor ingested through per-node ring buffers,
 advanced one fixed hop batch per :meth:`FleetStream.step` (the fleet
-session in-process, its default ``workers=0``), fused per hop.  The claims
-asserted:
+session in-process, its default ``workers=0``), fused per hop.  The
+claims:
 
-1. the per-hop fleet step p95 fits the hop deadline
-   (``LatencyStats.realtime``) — with the oracle detector the run is
-   dense-detection, so every hop carries the full localization load;
+1. the per-hop fleet step p95 fits the hop deadline — with the oracle
+   detector the run is dense-detection, so every hop carries the full
+   localization load;
 2. the live session's fused corridor tracks are *identical* to the offline
    ``FleetScheduler.run`` + ``fuse_fleet`` pass on the same scene (the
    determinism contract of ``tests/test_fleet_stream.py``, re-checked here
@@ -17,11 +17,17 @@ asserted:
 3. throughput does not collapse: the whole session stays faster than the
    corridor records (real-time factor > 1).
 
-Rows ``{bench, wall_ms, speedup, p95_ms, deadline_ms}`` are appended to
-``BENCH_pipeline.json``; the ``p95_ms`` field feeds the ``--bench-max-p95``
-latency guard (the streaming analogue of ``--bench-min-speedup``):
+Claim 2 is asserted.  Claims 1 and 3 are wall-clock figures, so they are
+guards of a bench session rather than tier-1 asserts: each hop batch
+records a ``{bench, wall_ms, speedup, p95_ms, deadline_ms}`` row whose
+``speedup`` is the real-time factor, and the guards are
 
     --bench-max-p95 E15_stream_corridor_4n=32
+    --bench-max-p95 E15_stream_hop1_4n=32
+    --bench-min-speedup E15_stream_corridor_4n=1.0
+    --bench-min-speedup E15_stream_hop1_4n=1.0
+
+Rows are appended to ``BENCH_pipeline.json`` only with ``--bench-json``.
 """
 
 import numpy as np
@@ -107,14 +113,9 @@ def test_e15_stream_corridor_realtime_and_offline_match(corridor, bench_json):
             )
         )
 
-        # Claim 1: per-hop p95 inside the hop deadline, on a dense run.
+        # Claims 1 and 3 are guarded on the recorded row (p95_ms against
+        # the hop deadline, speedup = real-time factor against 1.0).
         assert hop.deadline_s == pytest.approx(CONFIG.frame_period_s)
-        assert hop.realtime, (
-            f"hop_batch={hop_batch}: p95 {hop.p95_s * 1e3:.2f} ms exceeds the "
-            f"{hop_deadline_ms:.1f} ms hop deadline"
-        )
-        # Claim 3: the session beats the recording clock.
-        assert realtime_factor > 1.0
 
         # Claim 2: live tracks == offline tracks (association and states).
         assert len(result.tracks) == len(offline_tracks)

@@ -51,11 +51,12 @@ Three execution engines drive one shared per-hop implementation
   detected frames (``map_from_frames_batch``).  Results are numerically
   equivalent to streaming; throughput is ~10x on front-end-bound clips
   (see ``benchmarks/test_bench_throughput.py`` and ``BENCH_pipeline.json``).
-- **Real-time ingest** (:class:`repro.stream.StreamPipeline`, and
-  :class:`repro.fleet.FleetStream` for a corridor): chunk sources feed
-  fixed-capacity ring buffers; each hop-clocked step advances one hop
-  batch and (fleet-wide) fuses the new frames immediately, with per-hop
-  latency guarded against the hop deadline (bench E15).
+- **Real-time ingest** (:class:`repro.fleet.FleetStream`, the one
+  session over a corridor of one or more nodes; in-process or on forked
+  shard workers): chunk sources feed fixed-capacity ring buffers through
+  per-node :class:`repro.stream.NodeIngest`; each hop-clocked step
+  advances one hop batch and fuses the new frames fleet-wide immediately,
+  with per-hop latency recorded against the hop deadline (bench E15).
 
 The batched GCC layer (:func:`repro.ssl.gcc_phat_spectra`) computes each
 microphone's FFT once and whitens per mic, so both engines spend

@@ -235,15 +235,17 @@ class CitySession:
 class SessionManager:
     """Owner of the shared pool and the lifecycle of every session on it.
 
+    The manager forks the pool and owns it: it hands the pool the
+    :class:`~repro.stream.pacer.SharedCapacity` its sessions' pacers read,
+    so the pool's backlog and steal rate feed the city-wide ``min_batch``
+    floor, and :meth:`close` shuts the pool down.
+
     Parameters
     ----------
     workers:
         Worker processes to fork for the shared pool; 0 runs every session
         in-process (every session is *degraded* — the portable fallback
         when ``fork``/shared memory are unavailable).
-    pool:
-        An externally owned pool to use instead of forking one (the
-        manager then does not close it).
     max_shards_per_worker:
         Admission control: sessions joining once every pool worker already
         carries this many shards run in-process (degraded) instead of
@@ -252,34 +254,30 @@ class SessionManager:
         Backpressure policy applied to every session's pacers (``None``:
         a fixed batch of the scenario's ``hop_batch``).
     steal:
-        Enable work stealing on a manager-forked pool (default); ``False``
-        pins shards to the worker that registered them.  Ignored when an
-        external ``pool`` is given (its own setting rules).
+        Enable work stealing on the pool (default); ``False`` pins shards
+        to the worker that registered them.
     """
 
     def __init__(
         self,
         *,
         workers: int = 1,
-        pool: ShardWorkerPool | None = None,
         max_shards_per_worker: int | None = None,
         pacer: PacerConfig | None = None,
         steal: bool = True,
     ) -> None:
         if workers < 0:
             raise ValueError("workers must be >= 0")
-        self._owns_pool = pool is None and workers > 0
-        if pool is None and workers > 0:
-            pool = ShardWorkerPool(
-                workers, max_shards_per_worker=max_shards_per_worker, steal=steal
+        self.capacity: SharedCapacity | None = None
+        self.pool: ShardWorkerPool | None = None
+        if workers > 0:
+            self.capacity = SharedCapacity(workers)
+            self.pool = ShardWorkerPool(
+                workers,
+                max_shards_per_worker=max_shards_per_worker,
+                steal=steal,
+                capacity=self.capacity,
             )
-        self.pool = pool
-        self.capacity = SharedCapacity(pool.workers) if pool is not None else None
-        if pool is not None and pool.capacity is None:
-            # Close the backpressure loop: the pool reports its backlog and
-            # steal rate into the same capacity the sessions' pacers read,
-            # so sustained pressure widens min_batch city-wide.
-            pool.capacity = self.capacity
         self.pacer = pacer
         self.sessions: dict[str, CitySession] = {}
         self.n_worker_restarts = 0
@@ -356,7 +354,7 @@ class SessionManager:
                     session._leave()
                 except RuntimeError:  # pragma: no cover - dying pool
                     pass
-        if self._owns_pool and self.pool is not None:
+        if self.pool is not None:
             self.pool.close()
         self.pool = None
 

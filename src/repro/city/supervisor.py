@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Callable, Mapping
 
 from repro.stream.pacer import PacerConfig
-from repro.stream.pool import ShardWorkerPool, WorkerCrashed
+from repro.stream.pool import WorkerCrashed
 
 from repro.city.report import CityReport, CityRollup, city_report, city_report_json
 from repro.city.scenario import CityScenario, corridor_rngs
@@ -84,8 +84,8 @@ class CitySupervisor:
     workers:
         Shared-pool worker processes to fork (0 = every session runs
         in-process; the portable fallback and the determinism reference).
-    pool:
-        An externally owned pool to schedule on instead of forking one.
+        The supervisor's :class:`~repro.city.session.SessionManager` owns
+        the pool and shuts it down on :meth:`close`.
     max_shards_per_worker:
         Admission control forwarded to the :class:`~repro.city.session.
         SessionManager`: sessions joining past this pool load run
@@ -117,7 +117,6 @@ class CitySupervisor:
         scenario: CityScenario,
         *,
         workers: int = 1,
-        pool: ShardWorkerPool | None = None,
         max_shards_per_worker: int | None = None,
         pacer: PacerConfig | None = None,
         steal: bool = True,
@@ -132,7 +131,6 @@ class CitySupervisor:
         self.scenario = scenario
         self.manager = SessionManager(
             workers=workers,
-            pool=pool,
             max_shards_per_worker=max_shards_per_worker,
             pacer=pacer,
             steal=steal,

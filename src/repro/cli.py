@@ -218,12 +218,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="city scenario JSON file (see repro.city.scenario.load_scenario); "
         "omit to build a default staggered scenario from the flags below",
     )
-    city.add_argument("--corridors", type=int, default=3, help="corridors in the default scenario")
-    city.add_argument("--n-nodes", type=int, default=3, help="nodes per corridor (default scenario)")
+    city.add_argument(
+        "--corridors", type=_positive, default=3, help="corridors in the default scenario"
+    )
+    city.add_argument(
+        "--n-nodes",
+        type=_int_at_least(2),
+        default=3,
+        help="nodes per corridor (default scenario)",
+    )
     city.add_argument("--duration", type=float, default=1.0, help="capture length per corridor, s")
     city.add_argument(
         "--stagger",
-        type=int,
+        type=_non_negative,
         default=0,
         help="supervisor steps between corridor joins (default scenario)",
     )
@@ -235,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     city.add_argument(
         "--max-shards-per-worker",
-        type=int,
+        type=_positive,
         default=None,
         help="admission control: sessions joining past this pool load run "
         "in-process (degraded) instead of queueing the city",
@@ -274,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     city.add_argument(
         "--status-every",
-        type=int,
+        type=_non_negative,
         default=16,
         help="print live per-session latency lines every N supervisor steps (0 = never)",
     )

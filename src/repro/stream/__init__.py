@@ -13,8 +13,7 @@ package closes that gap with a hop-clocked runtime over the same shared
   producer interface and the :class:`RecordingChunkSource` replay feed
   (with simulated drops and delivery jitter);
 - :mod:`repro.stream.engine` — :class:`NodeIngest` (source → ring → hop
-  blocks with late/dropped-chunk accounting) and :class:`StreamPipeline`
-  (the single-node real-time driver);
+  blocks with late/dropped-chunk accounting), one per node of a session;
 - :mod:`repro.stream.pacer` — the adaptive hop-batch governor
   (:class:`Pacer`): overruns widen a shard's batch, headroom shrinks it,
   optional monotonic-clock pacing replays at capture speed; a
@@ -27,9 +26,10 @@ package closes that gap with a hop-clocked runtime over the same shared
   release/recover protocol over each worker's pipe; worker death surfaces
   as :class:`WorkerCrashed`);
 - :mod:`repro.stream.parallel` — the fleet session runtime
-  (:class:`ParallelFleetStream`, also :class:`repro.fleet.FleetStream`):
-  shard runners in-process, on a private forked pool, or on a shared one,
-  each step answering with a :class:`HopReply`.
+  (:class:`ParallelFleetStream`, also :class:`repro.fleet.FleetStream`),
+  the one session that runs the kernel on live audio: shard runners
+  in-process, registered on a private forked pool, or registered on a
+  shared one, each step answering with a :class:`HopReply`.
 
 **Work stealing and shard migration.**  The pool does not pin shards to
 the worker that registered them: each worker has a deque of hop-step work
@@ -42,7 +42,7 @@ ran its whole session on one worker or migrated a dozen times, and a
 crash *mid-migration* resolves through the same recover/retry path as any
 other :class:`WorkerCrashed`.  One skewed corridor can no longer stall
 its neighbours while other workers idle (``steal=False`` restores static
-pinning; preloaded fork-inherited shards never migrate).  Pool pressure
+pinning, which is what a session's private pool uses).  Pool pressure
 (queue depth + steal rate) feeds :class:`SharedCapacity`, which scales
 every paced session's ``min_batch`` city-wide under sustained backlog.
 
@@ -54,11 +54,13 @@ in-process   ``ParallelFleetStream(workers=0)`` — the default of
              :class:`~repro.stream.parallel._ShardRunner` steps in the
              main process.  Lowest overhead; wins for small fleets and
              short captures.
-process      ``workers >= 1`` — each shard's runner in a forked worker
-             fed through shared-memory rings; the per-hop Python cost
-             parallelizes too.  Wins for many-node fleets and dense
-             (per-hop localization) workloads; costs a fork plus one
-             pipe round-trip per step.
+process      ``workers >= 1`` — the session forks a private
+             :class:`ShardWorkerPool` and registers each shard's runner
+             on it (pipelines pickle once per shard), fed through
+             shared-memory rings; the per-hop Python cost parallelizes
+             too.  Meant for many-node fleets and dense (per-hop
+             localization) workloads; costs a fork, one registration
+             per shard, and one pipe round-trip per shard per step.
 supervisor   :class:`repro.city.CitySupervisor` — many concurrent
              corridor sessions multiplexed onto one
              :class:`ShardWorkerPool`, sessions joining and leaving
@@ -68,12 +70,16 @@ supervisor   :class:`repro.city.CitySupervisor` — many concurrent
 
 Every mode runs the same runner code through the same
 :class:`~repro.core.hop.HopKernel` and produces bit-identical per-node
-results and fused tracks — including every session of a shared-pool city
-run vs the same corridor standalone — with the same association decisions
-as the offline :meth:`repro.fleet.FleetScheduler.run` pass.
+results and fused tracks at every worker count — including every session
+of a shared-pool city run vs the same corridor standalone — with the same
+association decisions as the offline :meth:`repro.fleet.FleetScheduler.run`
+pass.  Across hop-batch schedules the same holds only without sample taps:
+streamed multilateration reads a window clamped to the audio already
+ingested, which runs up to a hop batch ahead of the fusion frontier, so a
+tap session's tracks can depend on the batches an adaptive pacer chose.
 """
 
-from repro.stream.engine import IngestStats, NodeIngest, StreamPipeline, StreamRunResult
+from repro.stream.engine import IngestStats, NodeIngest
 from repro.stream.ring import RingBuffer, SharedRingBuffer
 from repro.stream.source import Chunk, ChunkSource, RecordingChunkSource
 from repro.stream.budget import (
@@ -116,8 +122,6 @@ __all__ = [
     "ShardWorkerPool",
     "StageBudget",
     "WorkerCrashed",
-    "StreamPipeline",
-    "StreamRunResult",
     "format_stage_summary",
     "parallel_supported",
     "mlat_tap_capacity",

@@ -18,17 +18,23 @@ worker processes are for:
   out of the same pages.  Only the int64 ring header (head/size/drop
   counters) and the per-hop :class:`~repro.core.pipeline.FrameResult` rows
   (a few floats each) move over the pipe — never samples.
-- **workers are forked, not spawned.**  Fork inherits the scheduler's
-  built pipelines — detector weights, steering/interpolation tensors,
-  coarse-to-fine pyramids — without pickling a single array.
+- **pipelines pickle once per shard, at registration.**  Every pooled
+  session registers its shard runners on the pool's workers: the built
+  pipelines (detector weights, steering/interpolation tensors,
+  coarse-to-fine pyramids) cross the pipe once when the session opens,
+  and never again.
 - **fusion stays in the main process.**  Runners return per-hop
   localization results; the main process merges them in deterministic
   shard order and steps the incremental
   :class:`~repro.fleet.fusion.FusionEngine`, so fused tracks are
-  **bit-identical** at every worker count and batch schedule (the
-  hop-batch invariance contract makes the interleaving immaterial) and
-  match the offline :meth:`~repro.fleet.scheduler.FleetScheduler.run`
-  pass.
+  **bit-identical** at every worker count and match the offline
+  :meth:`~repro.fleet.scheduler.FleetScheduler.run` pass.  Without sample
+  taps they are also identical under every batch schedule (the hop-batch
+  invariance contract makes the interleaving immaterial).  With taps
+  (``tap_window_s``) they are not: streamed multilateration clamps its
+  window to the audio already ingested, which runs up to a hop batch
+  ahead of the fusion frontier, so an adaptive pacer's batch choices can
+  change which fixes it finds.
 
 Single-producer/single-consumer turn-taking makes the rings lock-free: the
 main process pushes a shard's chunks *before* sending its step command and
@@ -46,12 +52,14 @@ Every emitted
 latency across capture → delivery → ingest → kernel → fusion → emit.
 
 The worker processes themselves live in :class:`~repro.stream.pool.
-ShardWorkerPool`: a session opened with ``workers=N`` forks a private pool
-whose workers inherit its runners (no pickling), while a session opened
-with ``pool=`` *registers* its runners on an existing shared pool — the
-multi-corridor mode :mod:`repro.city` builds on.  Either way a dead worker
-surfaces as a :class:`~repro.stream.pool.WorkerCrashed` naming the shards
-it owned, and the :meth:`ParallelFleetStream.step_begin` /
+ShardWorkerPool`, and a session reaches them one way only: it *registers*
+its runners.  A session opened with ``workers=N`` forks a private pool
+and registers on it; a session opened with ``pool=`` registers on an
+existing shared pool — the multi-corridor mode :mod:`repro.city` builds
+on.  Either way a dead worker surfaces as a :class:`~repro.stream.pool.
+WorkerCrashed` naming the shards it owned, the pool's
+:meth:`~repro.stream.pool.ShardWorkerPool.recover` restores them from
+their step checkpoints, and the :meth:`ParallelFleetStream.step_begin` /
 :meth:`~ParallelFleetStream.step_end` split lets a supervisor overlap many
 sessions' kernel passes on the same workers.
 """
@@ -101,9 +109,9 @@ __all__ = [
 def parallel_supported() -> str | None:
     """Why process-parallel execution is unavailable here, or ``None``.
 
-    Needs the ``fork`` start method (workers inherit built pipelines
-    without pickling) and a working ``multiprocessing.shared_memory``
-    (some sandboxes mount no /dev/shm).
+    Needs the ``fork`` start method (the pool forks its workers) and a
+    working ``multiprocessing.shared_memory`` (some sandboxes mount no
+    /dev/shm).
     """
     if "fork" not in multiprocessing.get_all_start_methods():
         return "the 'fork' start method is unavailable on this platform"
@@ -334,28 +342,32 @@ class ParallelFleetStream:
 
     On the same audio (no drops, ample rings) the per-node result streams
     and fused tracks equal the offline :meth:`FleetScheduler.run` +
-    :func:`~repro.fleet.fusion.fuse_fleet` pass at any worker count.
+    :func:`~repro.fleet.fusion.fuse_fleet` pass at any worker count, and
+    at any batch schedule unless ``tap_window_s`` turns on streamed
+    multilateration (its window depends on how far ingest has run ahead
+    of the frontier, i.e. on the batch).
 
     Parameters
     ----------
     scheduler:
-        The fleet (its pipelines are forked into the workers, so construct
-        and optionally warm it *before* opening the session).
+        The fleet (its pipelines are pickled to the workers when the
+        session opens, so construct and optionally warm it *before*
+        opening the session).
     workers:
         Worker processes; 0 runs every shard in-process through the exact
         same :class:`_ShardRunner` code (the determinism reference), >= 1
-        distributes shards round-robin over a *private* forked
-        :class:`~repro.stream.pool.ShardWorkerPool` (workers inherit the
-        runners, nothing is pickled).  Clamped to the shard count.
-        Ignored when ``pool`` is given.
+        forks a *private* :class:`~repro.stream.pool.ShardWorkerPool`
+        without stealing and registers the shard runners on it, one per
+        worker in turn (pipelines pickle once per shard).  Clamped to the
+        shard count.  Ignored when ``pool`` is given.
     pool:
         An existing :class:`~repro.stream.pool.ShardWorkerPool` to *join*
         instead of forking a private one: the session registers its shard
-        runners on the pool's workers (runners pickle once; rings attach
-        by shared-memory name) and releases them on :meth:`close`.  This
-        is how :class:`repro.city.CitySupervisor` runs many sessions on
-        one set of workers.  Registered runners checkpoint their state, so
-        the pool can restore them after a worker death.
+        runners on the pool's workers and releases them on :meth:`close`.
+        This is how :class:`repro.city.CitySupervisor` runs many sessions
+        on one set of workers.  Private or shared, registered runners
+        checkpoint their state every step, so the pool can restore them
+        after a worker death.
     session_id:
         Name registered on the shared pool (default ``"fleet"``); must be
         unique among the pool's live sessions.
@@ -543,28 +555,16 @@ class ParallelFleetStream:
         self._n_steps = 0
         self._closed = False
         self._pending: tuple[float, list[float]] | None = None
-        self._pool: ShardWorkerPool | None = None
-        self._owns_pool = False
+        self._owns_pool = pool is None and self.workers > 0
+        if self._owns_pool:
+            # A fresh pool places shard k on worker k % workers; without
+            # stealing a lone session keeps that static spread.
+            pool = ShardWorkerPool(self.workers, steal=False)
+        self._pool: ShardWorkerPool | None = pool
         if pool is not None:
-            # Join an existing shared pool: ship each runner over the pipe
-            # (pipelines pickle once, rings re-attach by segment name) so
-            # the pool's workers can serve this session alongside others.
-            pool.register(
-                self.session_id,
-                {si: runner for si, runner in enumerate(self._runners)},
-            )
-            self._pool = pool
-        elif self.workers:
-            # Private pool, PR 6 style: fork *after* building the runners so
-            # the workers inherit pipelines and rings without any pickling.
-            self._pool = ShardWorkerPool(
-                self.workers,
-                preload={
-                    (self.session_id, si): runner
-                    for si, runner in enumerate(self._runners)
-                },
-            )
-            self._owns_pool = True
+            # Ship each runner over the pipe: pipelines pickle once, rings
+            # re-attach by segment name.
+            pool.register(self.session_id, dict(enumerate(self._runners)))
 
     # ------------------------------------------------------------------ API
 
@@ -665,10 +665,9 @@ class ParallelFleetStream:
         """Collect the in-flight step's replies, fuse, and emit updates.
 
         Raises :class:`~repro.stream.pool.WorkerCrashed` when a worker
-        owning one of this session's shards died; on a shared pool the
-        supervisor may call :meth:`~repro.stream.pool.ShardWorkerPool.
-        recover` and retry — the step stays pending until a collect
-        succeeds.
+        owning one of this session's shards died; the caller may then call
+        the pool's :meth:`~repro.stream.pool.ShardWorkerPool.recover` and
+        retry — the step stays pending until a collect succeeds.
         """
         if self._closed:
             raise RuntimeError("session is closed")

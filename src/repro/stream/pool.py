@@ -1,20 +1,16 @@
 """Shared pool of forked shard workers: one pool, many sessions, stealing.
 
-PR 6's :class:`~repro.stream.parallel.ParallelFleetStream` owned its worker
-processes outright — one pool per corridor session, workers inheriting the
-session's shard runners at fork.  A city of corridors cannot afford that:
-K concurrent sessions x W workers each oversubscribes the machine W-fold,
-and every join pays a full fork.  This module is the standalone
-:class:`ShardWorkerPool` that **one set of forked workers serves many
-sessions** — and, since PR 9, schedules them by **work stealing** instead
-of static pinning:
+One set of forked workers serves the shard runners of **many sessions**.
+A corridor session that forks its own private pool and the sessions of a
+city sharing one pool run on the same :class:`ShardWorkerPool` machinery,
+which can schedule them by **work stealing** instead of static pinning:
 
-- **runners are registered, not only inherited.**  A session that exists
-  when the pool forks can preload its runners (zero pickling, the PR 6
-  path); a session that *joins later* registers each shard runner over the
-  worker's pipe (the runner pickles its pipelines once; its
-  :class:`~repro.stream.ring.SharedRingBuffer` rings pickle by segment
-  name, so audio stays zero-copy).
+- **runners are registered.**  Every session — one that forks a private
+  pool as much as one that joins a shared pool mid-run — registers each
+  shard runner over the worker's pipe: the runner pickles its pipelines
+  once; its :class:`~repro.stream.ring.SharedRingBuffer` rings pickle by
+  segment name, so audio stays zero-copy.  Registration is the only way a
+  runner reaches a worker, so every shard can be recovered and migrated.
 - **steps are per-shard work items on per-worker deques.**
   ``step_send(session)`` enqueues one hop-step item per shard onto its
   current worker's queue and keeps at most :data:`_MAX_INFLIGHT` commands
@@ -25,9 +21,8 @@ of static pinning:
   last step checkpoint on the thief — exactly the machinery
   :meth:`recover` uses for crash restore, so fused tracks stay
   bit-identical whether or not a shard ever migrated.  Shards with a step
-  already in flight, and preloaded shards (no registration payload), are
-  never stolen.  ``steal=False`` keeps the static pinning (the E19
-  baseline).
+  already in flight are never stolen.  ``steal=False`` keeps the static
+  pinning (the E19 baseline, and a private session pool's placement).
 - **step replies ride the worker pipe.**  A step's reply travels back
   pickled, as ``("stepped", session, shard, reply, checkpoint)``, on the
   same pipe that carries the commands.  Shared-memory reply slots were
@@ -35,24 +30,24 @@ of static pinning:
   more than unpickling it.
 - **worker death is a typed, attributed error.**  Any pipe operation on a
   dead worker raises :class:`WorkerCrashed` naming the shards that worker
-  owned.  Registered runners checkpoint their mutable state with every
-  step reply, so :meth:`ShardWorkerPool.recover` can fork a replacement
-  worker, re-register the lost shards, restore them to their last
-  completed step and re-queue the lost in-flight items — a crash between
-  steps loses nothing, a crash mid-step (including mid-*migration*)
-  re-runs at most the in-flight hop batches.
+  owned.  Runners checkpoint their mutable state with every step reply,
+  so :meth:`ShardWorkerPool.recover` can fork a replacement worker,
+  re-register the lost shards, restore them to their last completed step
+  and re-queue the lost in-flight items — a crash between steps loses
+  nothing, a crash mid-step (including mid-*migration*) re-runs at most
+  the in-flight hop batches.
 - **pressure is observable.**  Given a :class:`~repro.stream.pacer.
   SharedCapacity`, every ``step_send`` feeds the pool's backlog and steal
   rate into :meth:`~repro.stream.pacer.SharedCapacity.note_pressure`, so
   the city's pacers can widen ``min_batch`` under sustained pressure (see
   :mod:`repro.stream.pacer`).
 
-The pool is deliberately ignorant of what a "runner" is: anything with a
-picklable ``step() -> reply`` works, plus ``state_dict()``/
-``load_state_dict(state)`` when registered recoverably; replies are handed
-back exactly as the runner returned them.  :mod:`repro.stream.parallel`
-provides the fleet runner and its reply format; :mod:`repro.city` builds
-the multi-session supervisor on top.
+The pool is deliberately ignorant of what a "runner" is: anything
+picklable with ``step() -> reply``, ``state_dict()`` and
+``load_state_dict(state)`` works; replies are handed back exactly as the
+runner returned them.  :mod:`repro.stream.parallel` provides the fleet
+runner and its reply format; :mod:`repro.city` builds the multi-session
+supervisor on top.
 """
 
 from __future__ import annotations
@@ -114,20 +109,21 @@ def _shard_label(sid: str, key: int) -> str:
     return f"{sid}/shard{key}"
 
 
-def _pool_worker_main(owned: dict, checkpointed: set, conn) -> None:
+def _pool_worker_main(conn) -> None:
     """Worker loop: register/restore/step/drop/release runners on command.
 
-    ``owned`` maps ``(session_id, shard_key)`` to a runner; preloaded
-    entries arrive via fork inheritance, later ones over the pipe.  A
-    shard migrating away is ``drop``\\ ped into a *dormant* cache rather
-    than discarded, so a later re-register with a ``None`` payload revives
-    it without re-unpickling the pipelines.  Every command gets exactly
-    one reply (``("ok",)``, ``("stepped", ...)`` or :class:`_WorkerError`),
-    so the main side can treat the pipe as a FIFO of request/response
-    pairs.  ``None`` shuts the worker down.
+    ``owned`` maps ``(session_id, shard_key)`` to a runner, registered over
+    the pipe.  A shard migrating away is ``drop``\\ ped into a *dormant*
+    cache rather than discarded, so a later re-register with a ``None``
+    payload revives it without re-unpickling the pipelines.  Every step
+    reply carries the runner's pickled ``state_dict()`` checkpoint.  Every
+    command gets exactly one reply (``("ok",)``, ``("stepped", ...)`` or
+    :class:`_WorkerError`), so the main side can treat the pipe as a FIFO
+    of request/response pairs.  ``None`` shuts the worker down.
     """
     import traceback
 
+    owned: dict = {}
     dormant: dict = {}
     try:
         while True:
@@ -140,27 +136,20 @@ def _pool_worker_main(owned: dict, checkpointed: set, conn) -> None:
                     _, sid, key = msg
                     runner = owned[(sid, key)]
                     reply = runner.step()
-                    state = (
-                        pickle.dumps(runner.state_dict(), protocol=pickle.HIGHEST_PROTOCOL)
-                        if (sid, key) in checkpointed
-                        else None
-                    )
+                    state = pickle.dumps(runner.state_dict(), protocol=pickle.HIGHEST_PROTOCOL)
                     conn.send(("stepped", sid, key, reply, state))
                 elif cmd == "register":
-                    _, sid, key, blob, checkpoint = msg
+                    _, sid, key, blob = msg
                     if blob is None:
                         # Migration revival: the shard lived here before and
                         # its runner is parked in the dormant cache.
                         owned[(sid, key)] = dormant.pop((sid, key))
                     else:
                         owned[(sid, key)] = pickle.loads(blob)
-                    if checkpoint:
-                        checkpointed.add((sid, key))
                     conn.send(("ok",))
                 elif cmd == "drop":
                     _, sid, key = msg
                     dormant[(sid, key)] = owned.pop((sid, key))
-                    checkpointed.discard((sid, key))
                     conn.send(("ok",))
                 elif cmd == "restore":
                     _, sid, key, blob = msg
@@ -170,7 +159,6 @@ def _pool_worker_main(owned: dict, checkpointed: set, conn) -> None:
                     sid = msg[1]
                     for k in [k for k in owned if k[0] == sid]:
                         owned.pop(k, None)
-                        checkpointed.discard(k)
                     for k in [k for k in dormant if k[0] == sid]:
                         dormant.pop(k, None)
                     conn.send(("ok",))
@@ -231,12 +219,6 @@ class ShardWorkerPool:
     workers:
         Worker process count (>= 1; a zero-worker "pool" is just in-process
         execution and needs no pool object).
-    preload:
-        ``(session_id, shard_key) -> runner`` entries the workers inherit
-        at fork — the PR 6 single-session path, paying no pickling.
-        Preloaded runners are **not recoverable** (no registration payload
-        to replay: a dead worker surfaces as :class:`WorkerCrashed`) and
-        are **never stolen** (migration needs the payload too).
     max_shards_per_worker:
         Admission-control knob for :meth:`saturated`: a supervisor should
         degrade new sessions to in-process execution once admitting them
@@ -248,11 +230,10 @@ class ShardWorkerPool:
         measures against.
     capacity:
         Optional :class:`~repro.stream.pacer.SharedCapacity` fed the
-        pool's backlog and steal rate each ``step_send`` (also settable
-        later via the :attr:`capacity` attribute).
+        pool's backlog and steal rate each ``step_send``.
 
     Every step reply comes back pickled over the worker's pipe, with the
-    shard's checkpoint when it was registered.  The pool must be closed
+    shard's checkpoint.  The pool must be closed
     (:meth:`close`) to join its workers; sessions should :meth:`release`
     themselves when they finish so their slots free up for later joiners.
     """
@@ -261,7 +242,6 @@ class ShardWorkerPool:
         self,
         workers: int,
         *,
-        preload: Mapping[tuple[str, int], object] | None = None,
         max_shards_per_worker: int | None = None,
         steal: bool = True,
         capacity=None,
@@ -302,14 +282,8 @@ class ShardWorkerPool:
         # SIGKILL the thief here).
         self._migration_hook = None
         self._closed = False
-        preload = dict(preload or {})
-        owned_per_worker: list[dict] = [{} for _ in range(self.workers)]
-        for i, key in enumerate(sorted(preload)):
-            w = i % self.workers
-            owned_per_worker[w][key] = preload[key]
-            self._assign[key] = w
         for w in range(self.workers):
-            self._spawn(w, owned_per_worker[w])
+            self._spawn(w)
 
     # ------------------------------------------------------------------ API
 
@@ -366,7 +340,7 @@ class ShardWorkerPool:
             blob = pickle.dumps(runners[key], protocol=pickle.HIGHEST_PROTOCOL)
             shard = (session_id, int(key))
             self._expect[w].append(("ok",))
-            self._send(w, ("register", session_id, int(key), blob, True))
+            self._send(w, ("register", session_id, int(key), blob))
             self._assign[shard] = w
             self._payloads[shard] = blob
             self._seeded[shard] = {w}
@@ -470,17 +444,13 @@ class ShardWorkerPool:
         """Forcibly move one registered shard to worker ``to``.
 
         The same drop → re-register → restore sequence work stealing uses,
-        exposed for tests and explicit rebalancing.  Refuses preloaded
-        shards (no payload to replay) and shards with a step in flight.
+        exposed for tests and explicit rebalancing.  Refuses shards with a
+        step in flight.
         """
         self._check_open()
         shard = (session_id, int(key))
         if shard not in self._assign:
             raise ValueError(f"unknown shard {_shard_label(session_id, key)}")
-        if shard not in self._payloads:
-            raise ValueError(
-                f"preloaded shard {_shard_label(session_id, key)} cannot migrate"
-            )
         if not 0 <= int(to) < self.workers:
             raise ValueError(f"worker index {to} out of range")
         src = self._assign[shard]
@@ -498,9 +468,7 @@ class ShardWorkerPool:
         registration payload and restored to its last step checkpoint;
         hop-step items that were in flight are re-queued at the *front* of
         the respawned worker's deque (oldest first), so a pending
-        :meth:`step_collect` can simply be retried.  Raises
-        :class:`WorkerCrashed` when a dead worker owned a preloaded
-        (non-recoverable) shard.
+        :meth:`step_collect` can simply be retried.
         """
         self._check_open()
         restarted = 0
@@ -509,14 +477,6 @@ class ShardWorkerPool:
             if proc is None or proc.is_alive():
                 continue
             shards = sorted(s for s, owner in self._assign.items() if owner == w)
-            lost = [s for s in shards if s not in self._payloads]
-            if lost:
-                raise WorkerCrashed(
-                    w,
-                    proc.pid,
-                    proc.exitcode,
-                    tuple(_shard_label(sid, key) for sid, key in lost),
-                )
             pending = list(self._inflight[w])
             self._inflight[w].clear()
             self._expect[w].clear()
@@ -529,10 +489,10 @@ class ShardWorkerPool:
             except OSError:  # pragma: no cover
                 pass
             proc.join(timeout=1.0)
-            self._spawn(w, {})
+            self._spawn(w)
             for sid, key in shards:
                 self._expect[w].append(("ok",))
-                self._send(w, ("register", sid, key, self._payloads[(sid, key)], True))
+                self._send(w, ("register", sid, key, self._payloads[(sid, key)]))
                 self._seeded[(sid, key)].add(w)
                 state = self._checkpoints.get((sid, key))
                 if state is not None:
@@ -599,14 +559,11 @@ class ShardWorkerPool:
         if self._closed:
             raise RuntimeError("worker pool is closed")
 
-    def _spawn(self, w: int, owned: dict) -> None:
+    def _spawn(self, w: int) -> None:
         parent_conn, child_conn = self._ctx.Pipe()
-        # Preloaded (fork-inherited) runners never checkpoint: with no
-        # registration payload to replay they are unrecoverable anyway, so
-        # their step replies skip the per-step state pickle.
         proc = self._ctx.Process(
             target=_pool_worker_main,
-            args=(owned, set(), child_conn),
+            args=(child_conn,),
             daemon=True,
         )
         proc.start()
@@ -662,9 +619,9 @@ class ShardWorkerPool:
         genuinely saturated, while a queued item with spare in-flight
         capacity merely means the dispatch loop has not reached that worker
         yet (``step_send`` fills workers in index order) and it would run
-        the item itself immediately.  Only registered shards (payload
-        available) with no step in flight can move — a mid-step migration
-        would fork the runner's state history.
+        the item itself immediately.  Only shards with no step in flight
+        can move — a mid-step migration would fork the runner's state
+        history.
         """
         victim, depth = None, 0
         for v in range(self.workers):
@@ -683,7 +640,7 @@ class ShardWorkerPool:
             if item in seen:
                 continue
             seen.add(item)
-            if item not in self._payloads or item in inflight:
+            if item in inflight:
                 continue
             candidates.append(item)
         if not candidates:
@@ -729,7 +686,7 @@ class ShardWorkerPool:
         blob = None if dst in seeded else self._payloads[shard]
         seeded.add(dst)
         self._expect[dst].append(("ok",))
-        self._send(dst, ("register", sid, key, blob, True))
+        self._send(dst, ("register", sid, key, blob))
         state = self._checkpoints.get(shard)
         if state is not None:
             self._expect[dst].append(("ok",))
@@ -803,8 +760,7 @@ class ShardWorkerPool:
         # worker's runner has already advanced past this step, so a crash
         # from here on must restore *this* state or the re-run would fork
         # the shard's history.
-        if state is not None:
-            self._checkpoints[(sid, key)] = state
+        self._checkpoints[(sid, key)] = state
         for gen in self._gens.get(sid, ()):
             if key in gen["pending"]:
                 gen["pending"].discard(key)

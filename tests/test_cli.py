@@ -32,6 +32,11 @@ class TestParser:
             (["city", "--snapshot-every", "0", "--snapshot-out", "trail.jsonl"],
              "--snapshot-every"),
             (["city", "--workers", "-1"], "--workers"),
+            (["city", "--corridors", "0"], "--corridors"),
+            (["city", "--n-nodes", "1"], "--n-nodes"),
+            (["city", "--stagger", "-1"], "--stagger"),
+            (["city", "--max-shards-per-worker", "0"], "--max-shards-per-worker"),
+            (["city", "--status-every", "-1"], "--status-every"),
         ],
     )
     def test_out_of_range_integers_exit_2_naming_the_flag(self, argv, flag, capsys):

@@ -176,7 +176,7 @@ class TestWorkStealing:
             pool._send = original
             registers = [m for m in sent if m[0] == "register"]
             # blob is None: the dormant runner revives in place.
-            assert registers == [("register", "a", 0, None, True)]
+            assert registers == [("register", "a", 0, None)]
             assert pool._seeded[("a", 0)] == {0, 1}
             assert pool.step("a") == {0: (0, 3)}
 
@@ -219,11 +219,6 @@ class TestMigrateValidation:
             with pytest.raises(RuntimeError, match="in flight"):
                 pool.migrate("a", 0, to=0)
             pool.step_collect("a")
-
-    def test_preloaded_shards_cannot_migrate(self):
-        with ShardWorkerPool(1, preload={("a", 0): CountingRunner(0)}) as pool:
-            with pytest.raises(ValueError, match="preloaded"):
-                pool.migrate("a", 0, to=0)
 
 
 # --------------------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 Ring-buffer semantics (wraparound, overflow drops, O(frame) memory), the
 chunk-source replay feed (sequence gaps, jitter), ingest accounting, and the
-single-node :class:`StreamPipeline` contract: the hop-clocked engine yields
-the exact :class:`FrameResult` stream of the offline batched engine on the
-same audio, under any chunking.
+single-node hop-clocked contract: :class:`NodeIngest` feeding the pipeline's
+hop kernel on the hop clock yields the exact :class:`FrameResult` stream of
+the offline batched engine on the same audio, under any chunking.
 """
+
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,18 +16,41 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import AcousticPerceptionPipeline, PipelineConfig, process_signal_batched
+from repro.core.realtime import LatencyMonitor
 from repro.dsp.stft import frame_signals
+from repro.fleet import FleetScheduler, OracleDetector, place_corridor_nodes
 from repro.stream import (
     Chunk,
     NodeIngest,
+    ParallelFleetStream,
     RecordingChunkSource,
     RingBuffer,
-    StreamPipeline,
 )
 
 MICS = np.array(
     [[0.1, 0.1, 1.0], [0.1, -0.1, 1.0], [-0.1, -0.1, 1.0], [-0.1, 0.1, 1.0]]
 )
+
+
+def hop_clocked_run(source, cfg, detector, *, hop_batch=4, ring_capacity=None):
+    """Drive one node on the hop clock: each step pulls the chunks delivered
+    by its engine time, pops the completed frames and runs them through the
+    pipeline's hop kernel with the stream's tracker and refinement state."""
+    pipe = AcousticPerceptionPipeline(MICS, cfg, detector=detector)
+    capacity = ring_capacity or 2 * (cfg.frame_length + hop_batch * cfg.hop_length)
+    ingest = NodeIngest(source, cfg.frame_length, cfg.hop_length, capacity=capacity)
+    monitor, results, t = LatencyMonitor(cfg.frame_period_s), [], 0.0
+    while not (ingest.exhausted and ingest.ring.available < cfg.frame_length):
+        t += hop_batch * cfg.frame_period_s
+        ingest.pull(t)
+        frames = ingest.pop_frames()
+        if frames.shape[0]:
+            t0 = time.perf_counter()
+            results += pipe.hop_kernel.step(
+                frames, tracker=pipe.tracker, state=pipe.refine_state, start_index=len(results)
+            )
+            monitor.record((time.perf_counter() - t0) / frames.shape[0])
+    return SimpleNamespace(results=results, ingest=ingest.stats, latency=monitor.stats())
 
 
 def assert_results_equal(streamed, batched):
@@ -268,9 +294,7 @@ class TestNodeIngest:
         order = [0, 1, 2, 3, 3] + list(range(4, 24))
 
         def run(source):
-            sp = StreamPipeline(MICS, cfg, hop_batch=4)
-            sp.pipeline.detector = AcousticPerceptionPipeline(MICS, cfg).detector
-            return sp.run(source)
+            return hop_clocked_run(source, cfg, AcousticPerceptionPipeline(MICS, cfg).detector)
 
         clean = run(RecordingChunkSource(sig, cfg.fs, chunk_samples=cfg.hop_length))
         dup = run(OrderedSource(sig, cfg.fs, order, chunk_samples=cfg.hop_length))
@@ -303,6 +327,9 @@ class OrderedSource(RecordingChunkSource):
 
 
 class TestStreamPipeline:
+    """The hop-clocked single-node stream (see :func:`hop_clocked_run`) and
+    the session driver's checks on the feeds it is given."""
+
     def config(self):
         return PipelineConfig(n_azimuth=24, n_elevation=2)
 
@@ -311,9 +338,8 @@ class TestStreamPipeline:
         sig = np.random.default_rng(7).standard_normal((4, 12000))
         ref = AcousticPerceptionPipeline(MICS, cfg)
         expected = process_signal_batched(ref, sig)
-        sp = StreamPipeline(MICS, cfg, hop_batch=4)
-        sp.pipeline.detector = ref.detector  # same untrained weights
-        res = sp.run(RecordingChunkSource(sig, cfg.fs, chunk_samples=cfg.hop_length))
+        source = RecordingChunkSource(sig, cfg.fs, chunk_samples=cfg.hop_length)
+        res = hop_clocked_run(source, cfg, ref.detector)  # same untrained weights
         assert_results_equal(res.results, expected)
         assert res.ingest.n_dropped_chunks == 0
         assert res.latency.deadline_s == pytest.approx(cfg.frame_period_s)
@@ -331,9 +357,8 @@ class TestStreamPipeline:
         sig = np.random.default_rng(99).standard_normal((4, 6000))
         ref = AcousticPerceptionPipeline(MICS, cfg)
         expected = process_signal_batched(ref, sig)
-        sp = StreamPipeline(MICS, cfg, hop_batch=hop_batch)
-        sp.pipeline.detector = ref.detector
-        res = sp.run(RecordingChunkSource(sig, cfg.fs, chunk_samples=chunk_samples))
+        source = RecordingChunkSource(sig, cfg.fs, chunk_samples=chunk_samples)
+        res = hop_clocked_run(source, cfg, ref.detector, hop_batch=hop_batch)
         assert_results_equal(res.results, expected)
 
     def test_jitter_delays_but_never_changes_results(self):
@@ -343,28 +368,39 @@ class TestStreamPipeline:
         sig = np.random.default_rng(21).standard_normal((4, 6000))
         ref = AcousticPerceptionPipeline(MICS, cfg)
         expected = process_signal_batched(ref, sig)
-        sp = StreamPipeline(MICS, cfg, hop_batch=4)
-        sp.pipeline.detector = ref.detector
         source = RecordingChunkSource(
             sig, cfg.fs, chunk_samples=cfg.hop_length,
             jitter_s=0.3, rng=np.random.default_rng(8),
         )
         # Ring sized for the worst-case delivery stall (0.3 s of audio).
-        sp.attach(source, ring_capacity=cfg.frame_length + 2 * int(0.3 * cfg.fs))
-        res = sp.run()
+        res = hop_clocked_run(
+            source, cfg, ref.detector,
+            ring_capacity=cfg.frame_length + 2 * int(0.3 * cfg.fs),
+        )
         assert_results_equal(res.results, expected)
         assert res.ingest.n_late_chunks > 0  # the jitter really was felt
         assert res.ingest.dropped_samples == 0
 
     def test_attach_validation(self):
+        """The session driver refuses a feed whose channel count or sample
+        rate does not match its node's array and pipeline."""
         cfg = self.config()
-        sp = StreamPipeline(MICS, cfg)
+        nodes = place_corridor_nodes(2, 18.0)
+        sched = FleetScheduler(nodes, cfg, detector=OracleDetector("siren_wail"))
+
+        def feeds(n_channels, fs):
+            return {
+                n.node_id: RecordingChunkSource(
+                    np.zeros((n_channels, 1000)), fs, chunk_samples=256
+                )
+                for n in nodes
+            }
+
+        n_mics = nodes[0].array.n_mics
         with pytest.raises(ValueError, match="channels"):
-            sp.attach(RecordingChunkSource(np.zeros((2, 1000)), cfg.fs, chunk_samples=256))
+            ParallelFleetStream(sched, feeds(n_mics - 1, cfg.fs))
         with pytest.raises(ValueError, match="fs"):
-            sp.attach(RecordingChunkSource(np.zeros((4, 1000)), 8000.0, chunk_samples=256))
-        with pytest.raises(RuntimeError, match="no source"):
-            sp.step()
+            ParallelFleetStream(sched, feeds(n_mics, cfg.fs / 2))
 
     def test_chunk_is_frozen_record(self):
         c = Chunk(data=np.zeros((1, 4)), seq=0, t=0.0, arrival_s=0.0)

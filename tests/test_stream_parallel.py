@@ -708,3 +708,29 @@ class TestMultiWorker:
             assert "died" in str(err) and "fleet/shard" in str(err)
         finally:
             session.close()
+
+    def test_worker_death_recovers_and_matches_offline(self, scene, serial_reference):
+        """A private pool restores a killed worker's shards from their step
+        checkpoints, exactly as a city pool does: recover, retry the
+        pending collect, and the session still ends bit-identical to the
+        offline run."""
+        offline, offline_tracks = serial_reference
+        nodes, recording = scene
+        sched = scheduler(nodes, config())
+        sources = CorridorStream(recording, chunk_samples=256).sources()
+        with ParallelFleetStream(sched, sources, hop_batch=8, workers=2) as session:
+            session.step()
+            victim = session._pool._procs[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=5.0)
+            assert not victim.is_alive()
+            session.step_begin()
+            with pytest.raises(WorkerCrashed):
+                session.step_end()
+            assert session._pool.recover() == 1
+            session.step_end()  # the retried collect returns the lost step
+            while not session.done:
+                session.step()
+            result = session.finalize()
+        assert_frame_streams_equal(offline.node_results, result.node_results)
+        assert_tracks_identical(offline_tracks, result.tracks)
