@@ -16,9 +16,12 @@ same frames.  This bench measures the dense-path engine that replaces it:
   regime (oracle detector: every frame localizes), showing the cap ROADMAP
   flagged on fleet speedup lifted.
 
-Rows append to ``BENCH_pipeline.json`` via ``bench_json`` in a bench
-session; guard them with ``--bench-min-speedup pipeline_10s_4mic_dense=5.0``
-and the E14 coarse-to-fine floors (see README.md).
+Tier-1 asserts only the deterministic claims (identical frame results,
+every frame detected, temporal reuse).  Rows append to
+``BENCH_pipeline.json`` via ``bench_json`` in a bench session; the speed
+claims are guards of that session (see README.md: "Fleet shard guards"
+for ``pipeline_10s_4mic_dense`` and ``E14_fleet_dense_*``, and the E14
+coarse-to-fine floors).
 """
 
 import time
@@ -83,7 +86,8 @@ def siren_drive_by(square_array):
 
 
 def test_e14_dense_pipeline(square_array, siren_drive_by, bench_json):
-    """Continuous-siren replay >= 5x streaming through the default pipeline."""
+    """Continuous-siren replay through the default pipeline vs streaming
+    (>= 5x is a bench-session guard)."""
     cfg = PipelineConfig()
     pipeline = AcousticPerceptionPipeline(
         square_array, cfg, detector=_siren_everywhere_detector(cfg.n_mels)
@@ -94,28 +98,20 @@ def test_e14_dense_pipeline(square_array, siren_drive_by, bench_json):
     pipeline.reset()
     pipeline.process_signal_batched(siren_drive_by)
     pipeline.reset()
-    # Paired measurement rounds: the host's clock and memory bandwidth both
-    # swing under co-tenancy, so each round times the two engines back to
-    # back and the speedup is the best per-round ratio — a burst that hits
-    # only one engine of one round cannot fake a regression (or a win).
+    # Min of 3 per engine, the two timed alternately so a slow phase of the
+    # shared host hits both.
     t_batch = t_stream = np.inf
-    speedup = 0.0
-    for _ in range(4):
-        rb = np.inf
-        for _ in range(4):
-            t0 = time.perf_counter()
-            batched = pipeline.process_signal_batched(siren_drive_by)
-            rb = min(rb, time.perf_counter() - t0)
-            reuse = (pipeline.refine_state.n_reused, pipeline.refine_state.n_selected)
-            pipeline.reset()
+    for _ in range(3):
+        t0 = time.perf_counter()
+        batched = pipeline.process_signal_batched(siren_drive_by)
+        t_batch = min(t_batch, time.perf_counter() - t0)
+        reuse = (pipeline.refine_state.n_reused, pipeline.refine_state.n_selected)
+        pipeline.reset()
         t0 = time.perf_counter()
         streamed = pipeline.process_signal(siren_drive_by)
-        rs = time.perf_counter() - t0
+        t_stream = min(t_stream, time.perf_counter() - t0)
         pipeline.reset()
-        t_batch, t_stream = min(t_batch, rb), min(t_stream, rs)
-        speedup = max(speedup, rs / rb)
-        if speedup >= 5.0:
-            break
+    speedup = t_stream / t_batch
     assert all(r.detected for r in streamed)
     assert_frame_results_equal(streamed, batched)
     print_table(
@@ -127,8 +123,7 @@ def test_e14_dense_pipeline(square_array, siren_drive_by, bench_json):
         ],
     )
     print(f"temporal reuse: {reuse[0]} hops reused / {reuse[1]} window selections")
-    bench_json("pipeline_10s_4mic_dense", t_batch * 1e3, speedup)
-    assert speedup >= 5.0
+    bench_json("pipeline_10s_4mic_dense", t_batch * 1e3, speedup)  # guarded >= 5x
     assert reuse[0] > reuse[1]  # continuous siren: most hops at coarse cost
 
 
@@ -237,6 +232,12 @@ def test_e14_fleet_dense_shard(n_nodes, bench_json):
             ("fleet shard", t_fleet * 1e3, speedup),
         ],
     )
-    bench_json(f"E14_fleet_dense_{n_nodes}n", t_fleet * 1e3, speedup)
-    assert speedup >= 2.5
-    assert run.fleet_latency.mean_s < 2.0  # still real time on the host
+    # Guarded claims: speedup >= 2.5x, and the run (one fleet-latency
+    # sample) stays inside the 2 s clip: still real time on the host.
+    bench_json(
+        f"E14_fleet_dense_{n_nodes}n",
+        t_fleet * 1e3,
+        speedup,
+        p95_ms=run.fleet_latency.p95_s * 1e3,
+        deadline_ms=2.0 * 1e3,
+    )

@@ -4,11 +4,15 @@ A corridor of K nodes processed as K independent frame-by-frame streaming
 loops pays the per-hop Python cost K times; the fleet scheduler batches the
 whole corridor — one ragged ``process_batch`` per shard, shared detector
 and steering tensors — so throughput should *scale with node count*: the
-speedup over sequential streaming at K=4 must be at least that at K=2
-(within noise), and both must be substantial.
+speedup over sequential streaming at K=4 should be at least that at K=2
+(within noise), and both should be substantial.
 
-Rows ``{bench, wall_ms, speedup}`` are appended to ``BENCH_pipeline.json``
-via the ``bench_json`` fixture, extending the PR-1 perf trail.
+Tier-1 asserts only that both engines return the same frame results.  The
+wall-clock claims are rows guarded in a bench session (see README.md,
+"Fleet shard guards"): ``E13_fleet_shard_{2,4}n`` carry the speedup and,
+as ``p95_ms``, the fleet run's wall against the clip length;
+``E13_fleet_scaling`` carries speedup(4 nodes) / speedup(2 nodes).
+Rows are appended to ``BENCH_pipeline.json`` only with ``--bench-json``.
 """
 
 import time
@@ -77,13 +81,18 @@ def test_e13_fleet_vs_sequential_streaming(n_nodes, bench_json):
             ("fleet shard", t_fleet * 1e3, t_fleet * 1e3 / n_nodes, speedup),
         ],
     )
-    bench_json(f"E13_fleet_shard_{n_nodes}n", t_fleet * 1e3, speedup)
-    assert speedup > 2.0
-    # The run itself must beat real time by a wide margin on the host.
-    assert run.fleet_latency.mean_s < CLIP_S
+    # Guarded claims: speedup > 2x, and the run (one fleet-latency sample)
+    # beats the clip's real time by a wide margin on the host.
+    bench_json(
+        f"E13_fleet_shard_{n_nodes}n",
+        t_fleet * 1e3,
+        speedup,
+        p95_ms=run.fleet_latency.p95_s * 1e3,
+        deadline_ms=CLIP_S * 1e3,
+    )
 
 
-def test_e13_speedup_scales_with_node_count():
+def test_e13_speedup_scales_with_node_count(bench_json):
     """More nodes amortize more per-run overhead: speedup(4) >~ speedup(2)."""
     rng = np.random.default_rng(14)
     ratios = {}
@@ -103,4 +112,5 @@ def test_e13_speedup_scales_with_node_count():
         t_fleet, _ = _best_of(lambda: scheduler.run(clips))
         ratios[n_nodes] = t_seq / t_fleet
     print(f"\nE13 scaling: speedup(2 nodes) {ratios[2]:.1f}x, speedup(4 nodes) {ratios[4]:.1f}x")
-    assert ratios[4] > 0.8 * ratios[2]  # no worse than flat, within noise
+    # Guarded claim: >= 0.8, i.e. no worse than flat within noise.
+    bench_json("E13_fleet_scaling", t_fleet * 1e3, ratios[4] / ratios[2])

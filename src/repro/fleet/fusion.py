@@ -28,11 +28,26 @@ independent sensors into one global event picture:
 
 Tracks coast through detection gaps and re-associate afterwards; collinear
 or parallel-ray geometries degrade gracefully to bearing-only updates.
+
+The per-frame arithmetic runs on Python floats, not NumPy arrays.  A
+corridor frame touches a handful of tracks and detections, and at that
+size NumPy's per-call overhead costs more than the algebra (the reasoning
+of :class:`~repro.ssl.tracking.KalmanDoaTracker`): the road filter is the
+4-state Kalman recursion written out in closed form, gating uses
+``math.atan2``, and :func:`triangulate_bearings` sums the 2x2 ray
+projectors in closed form.  Floats round differently from the matrix
+code, so a triangulation whose accept/reject margin lies within
+``1e-6`` of its threshold — a ray range near zero, a ray spread near
+``sin(min_angle)``, a near-singular normal matrix — is answered by the
+least-squares matrix code instead: rounding never flips a fix decision.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -61,9 +76,16 @@ __all__ = [
 ]
 
 
+_PI = math.pi
+_TWO_PI = 2.0 * math.pi
+# Decision margin below which float arithmetic hands a triangulation to the
+# least-squares matrix code (see the module docstring).
+_ILL_CONDITIONED = 1e-6
+
+
 def _wrap(angle: float) -> float:
     """Wrap an angle into [-pi, pi)."""
-    return float((angle + np.pi) % (2 * np.pi) - np.pi)
+    return (angle + _PI) % _TWO_PI - _PI
 
 
 @dataclass(frozen=True)
@@ -136,12 +158,24 @@ class FusionConfig:
             raise ValueError("noise parameters must be positive")
         if self.mlat_block < 256:
             raise ValueError("mlat_block must be >= 256 samples")
+        # label -> floor of _floor(), filled on first use.
+        object.__setattr__(self, "_floors", {})
 
     def threshold(self, label: str) -> float:
         """Fusion confidence floor for a class."""
         if self.class_thresholds is not None and label in self.class_thresholds:
             return float(self.class_thresholds[label])
         return fusion_threshold(label)
+
+    def _floor(self, label: str) -> float | None:
+        """:meth:`threshold` of an emergency class, ``None`` for any other;
+        resolved once per label, since fusion asks for every detected row."""
+        try:
+            return self._floors[label]
+        except KeyError:
+            floor = self.threshold(label) if is_emergency(label) else None
+            self._floors[label] = floor
+            return floor
 
 
 @dataclass(frozen=True)
@@ -183,19 +217,23 @@ def detection_from_result(
     per-class confidence floor — and converts the node-local azimuth to a
     corridor bearing.  The single shared filter behind both the offline
     :func:`collect_detections` pass and the per-hop streaming fusion of
-    :class:`repro.fleet.scheduler.FleetStream`, so the two runtimes cannot
-    disagree about what counts as a detection.
+    :class:`~repro.stream.parallel.ParallelFleetStream`, so the two
+    runtimes cannot disagree about what counts as a detection.
     """
-    if not (result.detected and is_emergency(result.label)):
+    if not result.detected:
         return None
-    if not np.isfinite(result.azimuth) or result.confidence < config.threshold(result.label):
+    floor = config._floor(result.label)
+    if floor is None:
+        return None
+    azimuth = float(result.azimuth)
+    if not math.isfinite(azimuth) or result.confidence < floor:
         return None
     return NodeDetection(
         node_id=node.node_id,
         frame_index=result.frame_index,
         label=result.label,
         confidence=float(result.confidence),
-        bearing=_wrap(result.azimuth + node.heading),
+        bearing=_wrap(azimuth + float(node.heading)),
         origin=origin if origin is not None else node.position[:2].copy(),
     )
 
@@ -231,11 +269,54 @@ def triangulate_bearings(
     Returns ``None`` when the rays are (near) parallel — e.g. collinear
     nodes staring down their own baseline — or when the solution lies
     behind any ray.
+
+    Solved in closed form over floats: the normal equations are sums of
+    the rays' 2x2 perpendicular projectors ``I - u u'``.  A call whose
+    decision is within rounding of a threshold is answered by
+    :func:`_triangulate_lstsq`, the matrix formulation, so every accept or
+    reject is the one that code makes.
     """
     origins = np.asarray(origins, dtype=np.float64).reshape(-1, 2)
     bearings = np.asarray(bearings, dtype=np.float64).ravel()
     if origins.shape[0] != bearings.size or bearings.size < 2:
         raise ValueError("need matching origins and >= 2 bearings")
+    angles = bearings.tolist()
+    spread = max(
+        abs(math.sin(a - b)) for i, a in enumerate(angles) for b in angles[i + 1 :]
+    )
+    min_spread = math.sin(math.radians(min_angle_deg))
+    if abs(spread - min_spread) < _ILL_CONDITIONED:
+        return _triangulate_lstsq(origins, bearings, min_angle_deg)
+    if spread < min_spread:
+        return None
+    rays = [(ox, oy, math.cos(a), math.sin(a)) for (ox, oy), a in zip(origins.tolist(), angles)]
+    a00 = a01 = a11 = b0 = b1 = 0.0
+    for ox, oy, c, s in rays:
+        # Perpendicular projector of the ray: I - u u'.
+        m00, m01, m11 = 1.0 - c * c, -c * s, 1.0 - s * s
+        a00 += m00
+        a01 += m01
+        a11 += m11
+        b0 += m00 * ox + m01 * oy
+        b1 += m01 * ox + m11 * oy
+    det = a00 * a11 - a01 * a01
+    if det < _ILL_CONDITIONED:
+        return _triangulate_lstsq(origins, bearings, min_angle_deg)
+    x = (a11 * b0 - a01 * b1) / det
+    y = (a00 * b1 - a01 * b0) / det
+    ranges = [(x - ox) * c + (y - oy) * s for ox, oy, c, s in rays]
+    if min(abs(r) for r in ranges) < _ILL_CONDITIONED:
+        return _triangulate_lstsq(origins, bearings, min_angle_deg)
+    if min(ranges) <= 0:
+        return None
+    return np.array([x, y])
+
+
+def _triangulate_lstsq(
+    origins: np.ndarray, bearings: np.ndarray, min_angle_deg: float
+) -> np.ndarray | None:
+    """:func:`triangulate_bearings` as 2x2 matrix algebra: the reference its
+    closed form falls back on when a decision is ill-conditioned."""
     u = np.stack([np.cos(bearings), np.sin(bearings)], axis=1)
     spread = np.abs(np.sin(bearings[:, None] - bearings[None, :]))
     if spread.max() < np.sin(np.radians(min_angle_deg)):
@@ -255,47 +336,119 @@ def triangulate_bearings(
 
 
 class _RoadKalman:
-    """Constant-velocity Kalman filter over road coordinates [x, y, vx, vy]."""
+    """Constant-velocity Kalman filter over road coordinates [x, y, vx, vy].
 
-    def __init__(self, x0: np.ndarray, p0: np.ndarray, *, q: float, dt: float) -> None:
-        self.x = np.asarray(x0, dtype=np.float64).copy()
-        self.p = np.asarray(p0, dtype=np.float64).copy()
+    The state ``x`` is a tuple of four floats and the symmetric
+    covariance ``p`` the ten floats of its upper triangle, row-major:
+    ``(p00, p01, p02, p03, p11, p12, p13, p22, p23, p33)``.  Each step is
+    the matrix recursion ``P <- F P F' + Q`` / ``P <- (I - K H) P``
+    written out in closed form (see the module docstring for why); results
+    equal the matrix formulas up to rounding.
+    """
+
+    def __init__(
+        self, x0: Sequence[float], p0: Sequence[float], *, q: float, dt: float
+    ) -> None:
+        self.x = tuple(float(v) for v in x0)
+        self.p = tuple(float(v) for v in p0)
         self.dt = float(dt)
-        self.f = np.eye(4)
-        self.f[0, 2] = self.f[1, 3] = self.dt
-        # White-acceleration process noise (discrete constant-velocity model).
-        dt2, dt3, dt4 = dt**2, dt**3, dt**4
-        blk = np.array([[dt4 / 4, dt3 / 2], [dt3 / 2, dt2]]) * q**2
-        self.q = np.zeros((4, 4))
-        self.q[np.ix_([0, 2], [0, 2])] = blk
-        self.q[np.ix_([1, 3], [1, 3])] = blk
+        # White-acceleration process noise (discrete constant-velocity
+        # model): the (pos, pos), (pos, vel) and (vel, vel) entries of each
+        # axis' 2x2 block.
+        self._q = (dt**4 / 4 * q**2, dt**3 / 2 * q**2, dt**2 * q**2)
 
     def predict(self) -> None:
-        self.x = self.f @ self.x
-        self.p = self.f @ self.p @ self.f.T + self.q
+        dt = self.dt
+        q_pp, q_pv, q_vv = self._q
+        x, y, vx, vy = self.x
+        p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = self.p
+        # Rows 0 and 1 of F P, velocity columns.
+        a02 = p02 + dt * p22
+        a03 = p03 + dt * p23
+        a12 = p12 + dt * p23
+        a13 = p13 + dt * p33
+        self.x = (x + dt * vx, y + dt * vy, vx, vy)
+        self.p = (
+            p00 + dt * p02 + dt * a02 + q_pp,
+            p01 + dt * p12 + dt * a03,
+            a02 + q_pv,
+            a03,
+            p11 + dt * p13 + dt * a13 + q_pp,
+            a12,
+            a13 + q_pv,
+            p22 + q_vv,
+            p23,
+            p33 + q_vv,
+        )
 
-    def update_xy(self, z: np.ndarray, sigma_m: float) -> None:
-        # H selects (x, y); the innovation covariance is a plain 2x2 block.
-        innovation = np.asarray(z, dtype=np.float64) - self.x[:2]
-        s = self.p[:2, :2] + np.eye(2) * sigma_m**2
-        k = self.p[:, :2] @ np.linalg.inv(s)
-        self.x = self.x + k @ innovation
-        i_kh = np.eye(4)
-        i_kh[:, :2] -= k
-        self.p = i_kh @ self.p
+    def update_xy(self, z: Sequence[float], sigma_m: float) -> None:
+        # H selects (x, y): the innovation covariance is a plain 2x2 block
+        # S = P[:2, :2] + sigma^2 I, inverted in closed form.
+        zx, zy = z
+        x, y, vx, vy = self.x
+        p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = self.p
+        r = sigma_m**2
+        s00 = p00 + r
+        s11 = p11 + r
+        det = s00 * s11 - p01 * p01
+        i00, i01, i11 = s11 / det, -p01 / det, s00 / det
+        # K = P[:, :2] S^-1, one row per state entry.
+        k00, k01 = p00 * i00 + p01 * i01, p00 * i01 + p01 * i11
+        k10, k11 = p01 * i00 + p11 * i01, p01 * i01 + p11 * i11
+        k20, k21 = p02 * i00 + p12 * i01, p02 * i01 + p12 * i11
+        k30, k31 = p03 * i00 + p13 * i01, p03 * i01 + p13 * i11
+        ex, ey = zx - x, zy - y
+        self.x = (
+            x + k00 * ex + k01 * ey,
+            y + k10 * ex + k11 * ey,
+            vx + k20 * ex + k21 * ey,
+            vy + k30 * ex + k31 * ey,
+        )
+        # (I - K H) P = P - K P[:2, :].
+        self.p = (
+            p00 - k00 * p00 - k01 * p01,
+            p01 - k00 * p01 - k01 * p11,
+            p02 - k00 * p02 - k01 * p12,
+            p03 - k00 * p03 - k01 * p13,
+            p11 - k10 * p01 - k11 * p11,
+            p12 - k10 * p02 - k11 * p12,
+            p13 - k10 * p03 - k11 * p13,
+            p22 - k20 * p02 - k21 * p12,
+            p23 - k20 * p03 - k21 * p13,
+            p33 - k30 * p03 - k31 * p13,
+        )
 
-    def update_bearing(self, origin: np.ndarray, bearing: float, sigma_rad: float) -> None:
-        dx = self.x[0] - origin[0]
-        dy = self.x[1] - origin[1]
+    def update_bearing(self, ox: float, oy: float, bearing: float, sigma_rad: float) -> None:
+        x, y, vx, vy = self.x
+        dx = x - ox
+        dy = y - oy
         r2 = dx * dx + dy * dy
         if r2 < 1e-6:
             return  # predicted position on top of the node: bearing uninformative
-        h = np.array([-dy / r2, dx / r2, 0.0, 0.0])
-        innovation = _wrap(bearing - np.arctan2(dy, dx))
-        s = float(h @ self.p @ h) + sigma_rad**2
-        k = (self.p @ h) / s
-        self.x = self.x + k * innovation
-        self.p = (np.eye(4) - np.outer(k, h)) @ self.p
+        # H = [-dy/r2, dx/r2, 0, 0]; g = P H', s = H P H' + sigma^2.
+        h0, h1 = -dy / r2, dx / r2
+        e = _wrap(bearing - math.atan2(dy, dx))  # innovation
+        p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = self.p
+        g0 = p00 * h0 + p01 * h1
+        g1 = p01 * h0 + p11 * h1
+        g2 = p02 * h0 + p12 * h1
+        g3 = p03 * h0 + p13 * h1
+        s = h0 * g0 + h1 * g1 + sigma_rad**2
+        k0, k1, k2, k3 = g0 / s, g1 / s, g2 / s, g3 / s
+        self.x = (x + k0 * e, y + k1 * e, vx + k2 * e, vy + k3 * e)
+        # (I - K H) P = P - K g'.
+        self.p = (
+            p00 - k0 * g0,
+            p01 - k0 * g1,
+            p02 - k0 * g2,
+            p03 - k0 * g3,
+            p11 - k1 * g1,
+            p12 - k1 * g2,
+            p13 - k1 * g3,
+            p22 - k2 * g2,
+            p23 - k2 * g3,
+            p33 - k3 * g3,
+        )
 
 
 @dataclass
@@ -341,7 +494,7 @@ class FusedTrack:
     @property
     def speed_mps(self) -> float:
         """Current speed estimate from the track-filter velocity, m/s."""
-        return float(np.hypot(self.kf.x[2], self.kf.x[3]))
+        return math.hypot(self.kf.x[2], self.kf.x[3])
 
     def frames(self) -> np.ndarray:
         """Frame indices of the history, shape ``(n,)``."""
@@ -439,7 +592,7 @@ class FusionEngine:
 
     The one implementation behind both runtimes: the offline
     :func:`fuse_fleet` pass replays every frame through :meth:`step`, and
-    the streaming :class:`repro.fleet.scheduler.FleetStream` calls
+    the streaming :class:`~repro.stream.parallel.ParallelFleetStream` calls
     :meth:`step` per hop as node results arrive — so live corridor tracks
     are *identical* (same association decisions, same filter states) to the
     offline ones on the same detections.
@@ -468,6 +621,13 @@ class FusionEngine:
         self.active: list[FusedTrack] = []
         self.retired: list[FusedTrack] = []
         self._next_id = 0
+        self._gate = math.radians(config.gate_deg)
+        # Spawn covariances: a triangulated seed's is constant; a
+        # bearing-only seed's is stretched along its ray (see _spawn).
+        fix_var = config.position_noise_m**2 * 4
+        self._p0_fix = (fix_var, 0.0, 0.0, 0.0, fix_var, 0.0, 0.0, 100.0, 0.0, 100.0)
+        self._along = (config.assumed_range_m * 0.5) ** 2
+        self._across = (config.assumed_range_m * config.bearing_noise_rad) ** 2 * 4
 
     # -------------------------------------------------------------- stepping
 
@@ -477,15 +637,9 @@ class FusionEngine:
         return self.retired + self.active
 
     def _event(self, kind: str, frame: int, track: FusedTrack) -> TrackUpdate:
+        x, y, _, _ = track.kf.x
         return TrackUpdate(
-            kind=kind,
-            frame_index=frame,
-            track_id=track.track_id,
-            label=track.label,
-            x=float(track.kf.x[0]),
-            y=float(track.kf.x[1]),
-            speed_mps=track.speed_mps,
-            n_nodes=len(track.nodes),
+            kind, frame, track.track_id, track.label, x, y, track.speed_mps, len(track.nodes)
         )
 
     def step(self, frame: int, detections: list[NodeDetection]) -> list[TrackUpdate]:
@@ -520,7 +674,7 @@ class FusionEngine:
                 track.misses += 1
                 if track.confirmed:
                     # Coast: record the predicted state so gaps stay covered.
-                    track.history.append((frame, float(track.kf.x[0]), float(track.kf.x[1])))
+                    track.history.append((frame, *track.kf.x[:2]))
                     events.append(self._event("coasted", frame, track))
             budget = cfg.coast_frames if track.confirmed else cfg.tentative_coast_frames
             if track.misses > budget:
@@ -534,32 +688,40 @@ class FusionEngine:
     def _associate(
         self, detections: list[NodeDetection]
     ) -> tuple[dict[int, list[NodeDetection]], set[int]]:
-        cfg = self.config
-        gate = np.radians(cfg.gate_deg)
-        candidates: list[tuple[float, FusedTrack, NodeDetection]] = []
+        gate = self._gate
+        rays: dict[str, list[tuple[NodeDetection, float, float, float]]] = {}
+        for det in detections:
+            rays.setdefault(det.label, []).append((det, *det.origin.tolist(), det.bearing))
+        # Confirmed tracks pick first so tentative phantoms cannot steal
+        # detections from an established vehicle; within each tier the
+        # nearest residual wins.
+        confirmed: list[tuple[float, FusedTrack, NodeDetection]] = []
+        tentative: list[tuple[float, FusedTrack, NodeDetection]] = []
         for track in self.active:
-            for det in detections:
-                if det.label != track.label:
-                    continue
-                dx = track.kf.x[0] - det.origin[0]
-                dy = track.kf.x[1] - det.origin[1]
+            candidates = confirmed if track.confirmed else tentative
+            tx, ty, _, _ = track.kf.x
+            for det, ox, oy, bearing in rays.get(track.label, ()):
+                dx = tx - ox
+                dy = ty - oy
                 if dx * dx + dy * dy < 1e-6:
                     continue
-                residual = abs(_wrap(det.bearing - np.arctan2(dy, dx)))
+                residual = abs(_wrap(bearing - math.atan2(dy, dx)))
                 if residual <= gate:
                     candidates.append((residual, track, det))
-        # Confirmed tracks pick first so tentative phantoms cannot steal
-        # detections from an established vehicle.
-        candidates.sort(key=lambda c: (not c[1].confirmed, c[0]))
+        by_residual = itemgetter(0)
+        confirmed.sort(key=by_residual)
+        tentative.sort(key=by_residual)
         assigned: dict[int, list[NodeDetection]] = {}
         taken: set[int] = set()
         used_node: set[tuple[int, str]] = set()
-        for residual, track, det in candidates:
+        for residual, track, det in chain(confirmed, tentative):
             if id(det) in taken or (track.track_id, det.node_id) in used_node:
                 continue
             assigned.setdefault(track.track_id, []).append(det)
             taken.add(id(det))
             used_node.add((track.track_id, det.node_id))
+            if len(taken) == len(detections):
+                break  # every detection is assigned
         return assigned, {id(d) for d in detections} - taken
 
     def _apply(self, track: FusedTrack, frame: int, dets: list[NodeDetection]) -> None:
@@ -568,21 +730,22 @@ class FusionEngine:
         if len(dets) >= 2:
             fix, kind = self._position_fix(frame, dets)
             if fix is not None:
-                track.kf.update_xy(fix, cfg.position_noise_m)
+                track.kf.update_xy(fix.tolist(), cfg.position_noise_m)
                 if kind == "mlat":
                     track.n_multilaterated += 1
                 else:
                     track.n_triangulated += 1
         if fix is None:
             for det in dets:
-                track.kf.update_bearing(det.origin, det.bearing, cfg.bearing_noise_rad)
+                ox, oy = det.origin.tolist()
+                track.kf.update_bearing(ox, oy, det.bearing, cfg.bearing_noise_rad)
         track.hits += 1
         track.misses = 0
         track.nodes.update(d.node_id for d in dets)
         if not track.confirmed and track.hits >= cfg.min_hits:
             track.confirmed = True
             track.confirmed_frame = frame
-        track.history.append((frame, float(track.kf.x[0]), float(track.kf.x[1])))
+        track.history.append((frame, *track.kf.x[:2]))
 
     def _position_fix(
         self, frame: int, dets: list[NodeDetection]
@@ -592,9 +755,11 @@ class FusionEngine:
             fix = self._multilaterate_pair(frame, dets[0], dets[1])
             if fix is not None:
                 return fix, "mlat"
-        origins = np.stack([d.origin for d in dets])
-        bearings = np.array([d.bearing for d in dets])
-        xy = triangulate_bearings(origins, bearings, min_angle_deg=cfg.min_triangulation_deg)
+        xy = triangulate_bearings(
+            [d.origin for d in dets],
+            [d.bearing for d in dets],
+            min_angle_deg=cfg.min_triangulation_deg,
+        )
         return xy, "triangulated"
 
     def _mlat_window(self, a_id: str, b_id: str, start: int, stop: int) -> np.ndarray | None:
@@ -679,46 +844,51 @@ class FusionEngine:
                     if id(group[j]) in used or group[i].node_id == group[j].node_id:
                         continue
                     xy = triangulate_bearings(
-                        np.stack([group[i].origin, group[j].origin]),
-                        np.array([group[i].bearing, group[j].bearing]),
+                        (group[i].origin, group[j].origin),
+                        (group[i].bearing, group[j].bearing),
                         min_angle_deg=cfg.min_triangulation_deg,
                     )
                     if xy is None:
                         continue
-                    p0 = np.diag(
-                        [cfg.position_noise_m**2 * 4, cfg.position_noise_m**2 * 4, 100.0, 100.0]
-                    )
-                    track = self._new_track(label, xy, p0)
+                    track = self._new_track(label, *xy.tolist(), self._p0_fix)
                     track.n_triangulated += 1
                     self._seed(track, frame, [group[i], group[j]])
                     spawned.append(track)
                     used.update((id(group[i]), id(group[j])))
                     break
             # Remaining singles become bearing-only tracks on the ray at the
-            # assumed range, with covariance stretched along the ray.
+            # assumed range, with covariance stretched along the ray:
+            # R diag(along, across) R' for the ray's rotation R.
             for det in group:
                 if id(det) in used:
                     continue
-                u = np.array([np.cos(det.bearing), np.sin(det.bearing)])
-                xy = det.origin + cfg.assumed_range_m * u
-                along = (cfg.assumed_range_m * 0.5) ** 2
-                across = (cfg.assumed_range_m * cfg.bearing_noise_rad) ** 2 * 4
-                rot = np.array([[u[0], -u[1]], [u[1], u[0]]])
-                pos_cov = rot @ np.diag([along, across]) @ rot.T
-                p0 = np.zeros((4, 4))
-                p0[:2, :2] = pos_cov
-                p0[2, 2] = p0[3, 3] = 100.0
-                track = self._new_track(label, xy, p0)
+                c, s = math.cos(det.bearing), math.sin(det.bearing)
+                ox, oy = det.origin.tolist()
+                ca, sa = c * self._along, s * self._along
+                cx, sx = c * self._across, s * self._across
+                p0 = (
+                    ca * c + sx * s,
+                    ca * s - sx * c,
+                    0.0,
+                    0.0,
+                    sa * s + cx * c,
+                    0.0,
+                    0.0,
+                    100.0,
+                    0.0,
+                    100.0,
+                )
+                r = cfg.assumed_range_m
+                track = self._new_track(label, ox + r * c, oy + r * s, p0)
                 self._seed(track, frame, [det])
                 spawned.append(track)
         return spawned
 
-    def _new_track(self, label: str, xy: np.ndarray, p0: np.ndarray) -> FusedTrack:
+    def _new_track(
+        self, label: str, x: float, y: float, p0: tuple[float, ...]
+    ) -> FusedTrack:
         kf = _RoadKalman(
-            np.array([xy[0], xy[1], 0.0, 0.0]),
-            p0,
-            q=self.config.process_noise,
-            dt=self.frame_period,
+            (x, y, 0.0, 0.0), p0, q=self.config.process_noise, dt=self.frame_period
         )
         track = FusedTrack(track_id=self._next_id, label=label, kf=kf)
         self._next_id += 1
@@ -731,7 +901,7 @@ class FusionEngine:
         if track.hits >= self.config.min_hits:
             track.confirmed = True
             track.confirmed_frame = frame
-        track.history.append((frame, float(track.kf.x[0]), float(track.kf.x[1])))
+        track.history.append((frame, *track.kf.x[:2]))
 
 
 def fuse_fleet(

@@ -13,8 +13,9 @@ bounding memory (O(frame) per node).
 
 Ingest accounting follows the real-time contract of the paper's Sec. II:
 late chunks (delivered after their capture deadline), dropped chunks
-(sequence-number gaps, zero-filled to keep the hop clock aligned) and ring
-overruns are counted per node and surfaced in :class:`IngestStats`.
+(sequence-number gaps, zero-filled to keep the hop clock aligned),
+malformed chunks (zero-filled the same way) and ring overruns are counted
+per node and surfaced in :class:`IngestStats`.
 """
 
 from __future__ import annotations
@@ -50,6 +51,10 @@ class IngestStats:
         already ingested or zero-filled past — duplicates, or reordered
         chunks arriving after their gap was filled.  Ingesting them would
         shift every later hop off the capture grid.
+    n_malformed_chunks:
+        Delivered chunks discarded because they are not a 2-D real
+        integer or floating array with the node's channel count; like a
+        dropped chunk, each one's slot was zero-filled.
     """
 
     n_chunks: int
@@ -57,6 +62,7 @@ class IngestStats:
     n_late_chunks: int
     dropped_samples: int
     n_stale_chunks: int = 0
+    n_malformed_chunks: int = 0
 
 
 class NodeIngest:
@@ -127,6 +133,7 @@ class NodeIngest:
         self.n_dropped_chunks = 0
         self.n_late_chunks = 0
         self.n_stale_chunks = 0
+        self.n_malformed_chunks = 0
 
     @property
     def exhausted(self) -> bool:
@@ -142,6 +149,7 @@ class NodeIngest:
             n_late_chunks=self.n_late_chunks,
             dropped_samples=self.ring.dropped_samples,
             n_stale_chunks=self.n_stale_chunks,
+            n_malformed_chunks=self.n_malformed_chunks,
         )
 
     def pull(self, until_s: float | None = None) -> int:
@@ -155,7 +163,10 @@ class NodeIngest:
         everything after it — and counted; delivery latency beyond the
         tolerance marks a chunk late.  A chunk whose sequence number is
         behind the grid (a duplicate, or one reordered past its zero-filled
-        slot) is discarded and counted as stale, for the same reason.
+        slot) is discarded and counted as stale, for the same reason.  A
+        malformed chunk (wrong shape, channel count or dtype) is checked
+        before it touches any state, counted, and zero-filled like a
+        dropped one: a bad driver packet must not end the session.
         """
         ingested = 0
         while True:
@@ -173,18 +184,26 @@ class NodeIngest:
             if chunk.seq < self._next_seq:
                 self.n_stale_chunks += 1
                 continue
+            malformed = self._malformed(chunk.data)
             if self._chunk_samples is None:
-                self._chunk_samples = getattr(
-                    self.source, "chunk_samples", chunk.data.shape[1]
-                )
-            if chunk.seq > self._next_seq:
-                gap = chunk.seq - self._next_seq
-                self.n_dropped_chunks += gap
-                fill = np.zeros((self.ring.n_channels, gap * self._chunk_samples))
+                self._chunk_samples = getattr(self.source, "chunk_samples", None)
+            if self._chunk_samples is None and not malformed:
+                self._chunk_samples = chunk.data.shape[1]
+            gap = chunk.seq - self._next_seq
+            self.n_dropped_chunks += gap
+            self.n_malformed_chunks += malformed
+            # Zero-fill the slots of the dropped chunks and of a malformed
+            # one (a slot has no known size before the first good chunk of
+            # a feed that does not declare ``chunk_samples``).
+            n_fill = (gap + malformed) * (self._chunk_samples or 0)
+            if n_fill:
+                fill = np.zeros((self.ring.n_channels, n_fill))
                 self.ring.push(fill)
                 if self.tap is not None:
                     self.tap.extend(fill)
             self._next_seq = chunk.seq + 1
+            if malformed:
+                continue
             if chunk.arrival_s - chunk.t > self.late_tolerance_s:
                 self.n_late_chunks += 1
             self.ring.push(chunk.data)
@@ -193,6 +212,16 @@ class NodeIngest:
             self.n_chunks += 1
             ingested += 1
         return ingested
+
+    def _malformed(self, data) -> bool:
+        """Whether a chunk's payload is not a 2-D real integer or floating
+        array with this node's channel count."""
+        return not (
+            isinstance(data, np.ndarray)
+            and data.ndim == 2
+            and data.shape[0] == self.ring.n_channels
+            and data.dtype.kind in "iuf"
+        )
 
     def pop_frames(self, max_frames: int | None = None) -> np.ndarray:
         """Completed hop frames, ``(T, n_channels, frame_length)``."""

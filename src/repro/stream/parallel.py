@@ -532,10 +532,10 @@ class ParallelFleetStream:
         # Main-side mirror of every node's result stream (workers report
         # rows back each step; fusion and `done` read this copy).
         self._results: dict[str, list[FrameResult]] = {nid: [] for nid in self._nodes}
-        # Per-frame (delivery_ms, ingest_ms, kernel_ms) for budget assembly.
-        self._frame_cost: dict[str, list[tuple[float, float, float]]] = {
-            nid: [] for nid in self._nodes
-        }
+        # Budget rows of the frames not fused yet: frame -> (delivery_ms,
+        # ingest_ms, kernel_ms), each the max over the nodes that reported
+        # the frame (an update waits for its slowest node).
+        self._frame_cost: dict[int, tuple[float, float, float]] = {}
         self.fusion = FusionEngine(
             scheduler.nodes,
             fcfg,
@@ -683,6 +683,8 @@ class ParallelFleetStream:
         self._pending = None
         new_results: dict[str, list[FrameResult]] = {}
         hops_advanced = 0
+        hop, frame_length, fs = cfg.hop_length, cfg.frame_length, cfg.fs
+        frame_cost = self._frame_cost
         for si in range(len(shard_list)):
             rep = replies[si]
             shard_hops = max((len(out) for out in rep.results.values()), default=0)
@@ -690,15 +692,22 @@ class ParallelFleetStream:
             total_frames = sum(len(out) for out in rep.results.values())
             ingest_ms = ingest_wall[si] / total_frames * 1e3 if total_frames else 0.0
             kernel_ms = rep.kernel_s / total_frames * 1e3 if total_frames else 0.0
+            t = self._t[si]
             for nid in rep.nids:
                 out = rep.results[nid]
                 base = len(self._results[nid])
-                for k in range(len(out)):
+                for f in range(base, base + len(out)):
                     # Stream-clock wait from capture-complete to this pop.
-                    f = base + k
-                    t_cap = (f * cfg.hop_length + cfg.frame_length) / cfg.fs
-                    delivery_ms = max(0.0, self._t[si] - t_cap) * 1e3
-                    self._frame_cost[nid].append((delivery_ms, ingest_ms, kernel_ms))
+                    delivery_ms = max(0.0, t - (f * hop + frame_length) / fs) * 1e3
+                    row = frame_cost.get(f)
+                    if row is None:
+                        frame_cost[f] = (delivery_ms, ingest_ms, kernel_ms)
+                    else:
+                        frame_cost[f] = (
+                            max(row[0], delivery_ms),
+                            max(row[1], ingest_ms),
+                            max(row[2], kernel_ms),
+                        )
                 self._results[nid].extend(out)
                 new_results[nid] = out
                 # Per-hop attributed share of the shard's wall time.
@@ -712,7 +721,7 @@ class ParallelFleetStream:
         t_fuse = time.perf_counter()
         updates = self._fuse_frontier()
         fusion_s = time.perf_counter() - t_fuse
-        updates = self._attach_budgets(updates, fusion_s, self._fused_upto - fused_before)
+        updates = self._attach_budgets(updates, fusion_s, range(fused_before, self._fused_upto))
         self.updates.extend(updates)
         step_wall = time.perf_counter() - t0
         self._wall += step_wall
@@ -848,19 +857,16 @@ class ParallelFleetStream:
         else:
             frontier = self._last_frame() + 1  # ragged tail: fuse to the end
         cfg = self.fusion.config
+        streams = [
+            (self._results[nid], self._nodes[nid], self._origins[nid]) for nid in self.node_order
+        ]
         updates: list[TrackUpdate] = []
         for frame in range(self._fused_upto, frontier):
             detections = []
-            for nid in self.node_order:
-                results = self._results[nid]
+            for results, node, origin in streams:
                 if frame >= len(results):
                     continue  # shorter capture: node ended before this frame
-                det = detection_from_result(
-                    results[frame],
-                    self._nodes[nid],
-                    config=cfg,
-                    origin=self._origins[nid],
-                )
+                det = detection_from_result(results[frame], node, config=cfg, origin=origin)
                 if det is not None:
                     detections.append(det)
             updates.extend(self.fusion.step(frame, detections))
@@ -868,41 +874,33 @@ class ParallelFleetStream:
         return updates
 
     def _attach_budgets(
-        self, updates: list[TrackUpdate], fusion_s: float, n_fused: int
+        self, updates: list[TrackUpdate], fusion_s: float, fused: range
     ) -> list[TrackUpdate]:
         """Stamp each new update with its detect-to-update stage breakdown.
 
         Delivery/ingest/kernel are the max over the nodes contributing that
-        frame (the update waited for the slowest node), taken once per
-        fused frame; fusion is the frontier pass attributed per fused
+        frame (the update waited for the slowest node), folded into the
+        frame's cost row as results arrive; the ``fused`` frames' rows are
+        dropped here.  Fusion is the frontier pass attributed per fused
         frame; emit is measured here.
         """
+        costs = [self._frame_cost.pop(frame) for frame in fused]
         if not updates:
             return updates
         cfg = self.scheduler.config
         capture_ms = cfg.capture_latency_s * 1e3
-        fusion_ms = fusion_s / max(1, n_fused) * 1e3
+        fusion_ms = fusion_s / max(1, len(fused)) * 1e3
         t_emit = time.perf_counter()
         out: list[TrackUpdate] = []
-        frame = -1
-        delivery = ingest = kernel = 0.0
         for u in updates:
-            if u.frame_index != frame:
-                frame = u.frame_index
-                delivery = ingest = kernel = 0.0
-                for costs in self._frame_cost.values():
-                    if frame < len(costs):
-                        d, i, k = costs[frame]
-                        delivery = max(delivery, d)
-                        ingest = max(ingest, i)
-                        kernel = max(kernel, k)
+            delivery, ingest, kernel = costs[u.frame_index - fused.start]
             budget = StageBudget(
-                capture_ms=capture_ms,
-                delivery_ms=delivery,
-                ingest_ms=ingest,
-                kernel_ms=kernel,
-                fusion_ms=fusion_ms,
-                emit_ms=(time.perf_counter() - t_emit) * 1e3,
+                capture_ms,
+                delivery,
+                ingest,
+                kernel,
+                fusion_ms,
+                (time.perf_counter() - t_emit) * 1e3,  # emit
             )
             self.stage_budgets.append(budget)
             # Built directly: dataclasses.replace costs 2x per update.

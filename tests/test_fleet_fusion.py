@@ -1,9 +1,15 @@
 """Fusion edge cases: collinear node geometry, single-node bearing-only
 survival, detection gaps (coast + re-association), per-class fusion
-thresholds, and the wide-baseline multilateration upgrade."""
+thresholds, the wide-baseline multilateration upgrade, and the float
+arithmetic of the road filter and triangulation against their matrix
+formulations."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.acoustics.environment import MicrophoneArray
 from repro.acoustics.trajectory import StaticPosition
@@ -22,6 +28,7 @@ from repro.fleet import (
     synthesize_corridor,
     triangulate_bearings,
 )
+from repro.fleet.fusion import _RoadKalman
 from repro.signals import synthesize_siren
 
 FRAME_PERIOD = 0.032
@@ -256,3 +263,177 @@ class TestMultilaterationUpgrade:
         nodes = [make_node("a", 0.0, 0.0)]
         with pytest.raises(ValueError, match="fs is required"):
             fuse_fleet({"a": []}, nodes, frame_period=0.032, recordings={"a": np.zeros((4, 10))})
+
+
+# ------------------------------------------------- float vs matrix arithmetic
+
+
+def wrap(angle):
+    return (angle + np.pi) % (2 * np.pi) - np.pi
+
+
+class MatrixRoadKalman:
+    """The road filter as 4x4 matrix algebra: the oracle for the scalar
+    closed forms of :class:`repro.fleet.fusion._RoadKalman`."""
+
+    def __init__(self, x0, p0, *, q, dt):
+        self.x = np.array(x0, dtype=np.float64)
+        self.p = np.array(p0, dtype=np.float64)
+        self.f = np.eye(4)
+        self.f[0, 2] = self.f[1, 3] = dt
+        blk = np.array([[dt**4 / 4, dt**3 / 2], [dt**3 / 2, dt**2]]) * q**2
+        self.q = np.zeros((4, 4))
+        self.q[np.ix_([0, 2], [0, 2])] = blk
+        self.q[np.ix_([1, 3], [1, 3])] = blk
+
+    def predict(self):
+        self.x = self.f @ self.x
+        self.p = self.f @ self.p @ self.f.T + self.q
+
+    def update_xy(self, z, sigma_m):
+        innovation = np.asarray(z, dtype=np.float64) - self.x[:2]
+        s = self.p[:2, :2] + np.eye(2) * sigma_m**2
+        k = self.p[:, :2] @ np.linalg.inv(s)
+        self.x = self.x + k @ innovation
+        i_kh = np.eye(4)
+        i_kh[:, :2] -= k
+        self.p = i_kh @ self.p
+
+    def bearing_geometry(self, origin):
+        dx, dy = self.x[0] - origin[0], self.x[1] - origin[1]
+        return dx * dx + dy * dy, np.arctan2(dy, dx)
+
+    def update_bearing(self, origin, bearing, sigma_rad):
+        r2, predicted = self.bearing_geometry(origin)
+        if r2 < 1e-6:
+            return
+        dx, dy = self.x[0] - origin[0], self.x[1] - origin[1]
+        h = np.array([-dy / r2, dx / r2, 0.0, 0.0])
+        innovation = wrap(bearing - predicted)
+        s = float(h @ self.p @ h) + sigma_rad**2
+        k = (self.p @ h) / s
+        self.x = self.x + k * innovation
+        self.p = (np.eye(4) - np.outer(k, h)) @ self.p
+
+
+def covariance(kf):
+    """A ``_RoadKalman``'s packed upper triangle as the full 4x4 matrix."""
+    full = np.zeros((4, 4))
+    upper = np.triu_indices(4)
+    full[upper] = kf.p
+    full.T[upper] = kf.p
+    return full
+
+
+def assert_close(got, want):
+    """Within 1e-9 of the oracle, relative to its largest entry."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, float(np.max(np.abs(want))))
+
+
+coord = st.floats(-200.0, 200.0)
+filter_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("predict")),
+        st.tuples(st.just("xy"), coord, coord, st.floats(0.1, 10.0)),
+        st.tuples(
+            st.just("bearing"), coord, coord, st.floats(-math.pi, math.pi), st.floats(0.01, 0.5)
+        ),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+class TestRoadKalmanMatchesMatrixForm:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        x0=st.tuples(coord, coord, st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)),
+        a=st.lists(st.floats(-10.0, 10.0), min_size=16, max_size=16),
+        diag=st.lists(st.floats(1e-3, 100.0), min_size=4, max_size=4),
+        q=st.floats(0.1, 10.0),
+        dt=st.floats(1e-3, 0.5),
+        ops=filter_ops,
+    )
+    def test_scalar_filter_equals_matrix_formulas(self, x0, a, diag, q, dt, ops):
+        root = np.array(a).reshape(4, 4)
+        p0 = root @ root.T + np.diag(diag)
+        scalar = _RoadKalman(x0, p0[np.triu_indices(4)], q=q, dt=dt)
+        matrix = MatrixRoadKalman(x0, p0, q=q, dt=dt)
+        for op in ops:
+            if op[0] == "predict":
+                scalar.predict()
+                matrix.predict()
+            elif op[0] == "xy":
+                scalar.update_xy(op[1:3], op[3])
+                matrix.update_xy(op[1:3], op[3])
+            else:
+                _, ox, oy, bearing, sigma = op
+                r2, predicted = matrix.bearing_geometry((ox, oy))
+                # Decisions on a rounding edge (the r2 gate, the wrap at
+                # +-pi) are not what this property is about.
+                assume(abs(r2 - 1e-6) > 1e-9)
+                assume(abs(abs(wrap(bearing - predicted)) - np.pi) > 1e-6)
+                scalar.update_bearing(ox, oy, bearing, sigma)
+                matrix.update_bearing((ox, oy), bearing, sigma)
+            assert_close(scalar.x, matrix.x)
+            assert_close(covariance(scalar), matrix.p)
+
+
+def lstsq_triangulate(origins, bearings, min_angle_deg):
+    """Least-squares ray intersection as 2x2 matrix algebra (the oracle)."""
+    origins = np.asarray(origins, dtype=np.float64).reshape(-1, 2)
+    bearings = np.asarray(bearings, dtype=np.float64)
+    u = np.stack([np.cos(bearings), np.sin(bearings)], axis=1)
+    spread = np.abs(np.sin(bearings[:, None] - bearings[None, :]))
+    if spread.max() < np.sin(np.radians(min_angle_deg)):
+        return None
+    a = np.eye(2)[None] - u[:, :, None] * u[:, None, :]
+    try:
+        x = np.linalg.solve(a.sum(axis=0), np.einsum("nij,nj->i", a, origins))
+    except np.linalg.LinAlgError:
+        return None
+    if np.any(np.einsum("nj,nj->n", x[None, :] - origins, u) <= 0):
+        return None
+    return x
+
+
+@st.composite
+def ray_sets(draw):
+    """2-7 random rays; optionally ray 1 aims exactly through ray 0's
+    origin, and optionally along the corridor axis at +-pi (the corridor's
+    degenerate fix: the solution sits on a node, at range ~0)."""
+    n = draw(st.integers(2, 7))
+    origins = [[draw(coord), draw(coord)] for _ in range(n)]
+    bearings = [draw(st.floats(-math.pi, math.pi, exclude_max=True)) for _ in range(n)]
+    aim = draw(st.sampled_from(["none", "through", "axis"]))
+    if aim == "through":
+        (x0, y0), (x1, y1) = origins[0], origins[1]
+        bearings[1] = math.atan2(y0 - y1, x0 - x1)
+    elif aim == "axis":
+        origins[0][1] = origins[1][1] = 0.0
+        origins[1][0] = origins[0][0] + draw(st.floats(1.0, 60.0))
+        bearings[1] = draw(st.sampled_from([math.pi, -math.pi]))
+    return np.array(origins), np.array(bearings)
+
+
+class TestTriangulationMatchesLeastSquares:
+    @settings(max_examples=300, deadline=None)
+    @given(rays=ray_sets(), min_angle_deg=st.sampled_from([1.0, 8.0, 20.0]))
+    def test_same_decision_and_position(self, rays, min_angle_deg):
+        origins, bearings = rays
+        got = triangulate_bearings(origins, bearings, min_angle_deg=min_angle_deg)
+        want = lstsq_triangulate(origins, bearings, min_angle_deg)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.max(np.abs(got - want)) <= 1e-9
+
+    def test_fix_on_a_node_is_decided_like_the_matrix_code(self):
+        """A ray aimed through another ray's origin at -pi: the fix lands
+        on node 0 and its range there is a rounding residue."""
+        origins = np.array([[-87.5, 0.0], [-62.5, 0.0]])
+        bearings = np.array([np.radians(140.0), -np.pi])
+        got = triangulate_bearings(origins, bearings, min_angle_deg=8.0)
+        want = lstsq_triangulate(origins, bearings, 8.0)
+        assert want is not None and np.allclose(want, [-87.5, 0.0], atol=1e-9)
+        assert np.array_equal(got, want)

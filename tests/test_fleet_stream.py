@@ -246,6 +246,61 @@ class TestFleetStreamSession:
             assert stats.latency.mean_s > 0.0
             assert stats.latency.max_s > 0.0  # no phantom zero sample
 
+    def jittered_session(self, hop_batch):
+        """A 4-node, 6 s corridor whose chunks arrive up to 3 hops late, so
+        nodes pop the same frame in different steps."""
+        nodes, recording = corridor(n_nodes=4, duration=6.0, n_vehicles=1)
+        cfg = config(n_azimuth=24)
+        sched = FleetScheduler(nodes, cfg, detector=OracleDetector("siren_wail"))
+        stream = CorridorStream(
+            recording,
+            chunk_samples=cfg.hop_length,
+            jitter_s=3 * cfg.frame_period_s,
+            rng=np.random.default_rng(19),
+        )
+        return cfg, sched.stream(stream.sources(), hop_batch=hop_batch)
+
+    def test_frame_cost_rows_are_bounded(self):
+        """Budget rows live only until their frame is fused: a long session
+        never holds more than nodes x (batch + 1) of them."""
+        hop_batch = 4
+        _, session = self.jittered_session(hop_batch)
+        n_nodes = len(session.node_order)
+        peak = 0
+        while not session.done:
+            session.step()
+            rows = session._frame_cost
+            assert all(frame >= session._fused_upto for frame in rows)
+            assert len(rows) <= n_nodes * (hop_batch + 1)
+            peak = max(peak, len(rows))
+        assert peak > 0  # the jitter really left frames waiting on a slow node
+        assert not session._frame_cost
+
+    def test_delivery_follows_the_stream_clock(self):
+        """An update's delivery is the stream-clock wait of its frame's
+        slowest node: the step clock when it popped the frame minus the
+        frame's capture-complete time."""
+        hop_batch = 3
+        cfg, session = self.jittered_session(hop_batch)
+        popped: dict[int, float] = {}  # frame -> latest pop clock over nodes
+        updates = []
+        t = 0.0
+        while not session.done:
+            t += hop_batch * cfg.frame_period_s
+            out = session.step()
+            for rows in out.new_results.values():
+                for r in rows:
+                    popped[r.frame_index] = t
+            updates += out.updates
+        assert updates
+        waits = set()
+        for u in updates:
+            t_cap = (u.frame_index * cfg.hop_length + cfg.frame_length) / cfg.fs
+            expected = max(0.0, popped[u.frame_index] - t_cap) * 1e3
+            assert u.budget.delivery_ms == pytest.approx(expected, rel=1e-9, abs=1e-9)
+            waits.add(round(u.budget.delivery_ms, 6))
+        assert len(waits) > hop_batch  # jitter spreads delivery beyond the batch wait
+
     def test_source_validation(self):
         nodes, recording = corridor(duration=0.5, n_vehicles=1)
         cfg = config(n_azimuth=24)

@@ -310,6 +310,72 @@ class TestNodeIngest:
                 equal_nan=True,
             )
 
+    def test_malformed_chunks_are_zero_filled_not_fatal(self):
+        """A 5-channel chunk and a 1-D chunk mid-stream: the session runs to
+        the end, counts both, and sees exactly the frames of the same feed
+        with those two chunks dropped."""
+        cfg = PipelineConfig(n_azimuth=24, n_elevation=2)
+        nodes = place_corridor_nodes(2, 18.0)
+        n_mics = nodes[0].array.n_mics
+        rng = np.random.default_rng(23)
+        sig = {n.node_id: rng.standard_normal((n_mics, 256 * 20)) for n in nodes}
+        bad = {5: np.zeros((n_mics + 1, 256)), 9: np.zeros(256)}
+        kept = [k for k in range(20) if k not in bad]
+
+        def feeds(node0_feed):
+            out = {
+                n.node_id: RecordingChunkSource(sig[n.node_id], cfg.fs, chunk_samples=256)
+                for n in nodes
+            }
+            out["node0"] = node0_feed(sig["node0"])
+            return out
+
+        def malformed(x):
+            return CorruptSource(x, cfg.fs, bad, chunk_samples=256)
+
+        def dropped(x):
+            return OrderedSource(x, cfg.fs, kept, chunk_samples=256)
+
+        sched = FleetScheduler(nodes, cfg, detector=OracleDetector("siren_wail"))
+        runs = [
+            ParallelFleetStream(sched, feeds(feed), hop_batch=4).run()
+            for feed in (malformed, dropped)
+        ]
+        for result in runs:
+            assert len(result.node_results["node0"]) == len(result.node_results["node1"])
+        faulty, lossy = runs[0].ingest["node0"], runs[1].ingest["node0"]
+        assert (faulty.n_malformed_chunks, faulty.n_dropped_chunks, faulty.n_chunks) == (2, 0, 18)
+        assert (lossy.n_malformed_chunks, lossy.n_dropped_chunks, lossy.n_chunks) == (0, 2, 18)
+        for a, b in zip(runs[0].node_results["node0"], runs[1].node_results["node0"]):
+            assert (a.frame_index, a.label, a.detected) == (b.frame_index, b.label, b.detected)
+            assert np.array_equal(
+                [a.confidence, a.azimuth, a.elevation],
+                [b.confidence, b.azimuth, b.elevation],
+                equal_nan=True,
+            )
+        # The ingested frames themselves are identical.
+        frames = []
+        for feed in (malformed, dropped):
+            ingest = NodeIngest(feed(sig["node0"]), 512, 256)
+            ingest.pull(None)
+            frames.append(ingest.pop_frames(None))
+        assert np.array_equal(frames[0], frames[1])
+
+
+class CorruptSource(RecordingChunkSource):
+    """Delivers a recording with the payloads of chosen chunks replaced by
+    malformed arrays — a driver emitting bad packets."""
+
+    def __init__(self, signals, fs, bad, *, chunk_samples):
+        super().__init__(signals, fs, chunk_samples=chunk_samples)
+        self._bad = bad
+
+    def next_chunk(self):
+        c = super().next_chunk()
+        if c is not None and c.seq in self._bad:
+            c = Chunk(data=self._bad[c.seq], seq=c.seq, t=c.t, arrival_s=c.arrival_s)
+        return c
+
 
 class OrderedSource(RecordingChunkSource):
     """Delivers a recording's chunks in a given sequence order (indices may
