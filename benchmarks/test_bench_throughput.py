@@ -1,16 +1,28 @@
 """E12 — Batched block-processing engine vs the per-frame streaming loop.
 
-This PR's tentpole: whole recordings flow through the pipeline as array
-operations (one framing view, one batched FFT + mel + detector forward, one
-batched SRP call) instead of a Python loop per hop.  The bench measures
+Whole recordings flow through the pipeline as array operations (one
+framing view, one batched FFT + mel + detector forward, one batched SRP
+call) instead of a Python loop per hop.  The bench measures
 
 - end-to-end ``process_signal`` (streaming) vs the batched engine on a
   10 s, 4-mic, 16 kHz clip in the paper's low-latency driving-mode framing,
 - a dense SRP-PHAT map sweep via ``map_from_frames_batch`` vs looping
   ``map_from_frames``,
+- a batch of recordings through one kernel pass vs one pass per clip,
 
-and appends ``{bench, wall_ms, speedup}`` rows to ``BENCH_pipeline.json``
-(see ``--bench-json``), establishing the perf trajectory for future PRs.
+and records ``{bench, wall_ms, speedup}`` rows (appended to
+``BENCH_pipeline.json`` only with ``--bench-json``).  Tier-1 asserts only
+the deterministic claims: identical frame results between engines, and
+equal maps between the loop and the batched sweep.  The speed claims are
+guards of a bench session ("Kernel throughput guards" in
+``benchmarks/README.md``):
+
+    --bench-min-speedup pipeline_10s_4mic=10.0
+    --bench-min-speedup pipeline_10s_4mic_dense_noise=2.0
+    --bench-min-speedup srp_map_sweep_SrpPhat=5.0
+    --bench-min-speedup srp_map_sweep_FastSrpPhat=1.0
+    --bench-min-speedup pipeline_clip_batch_64x0.25s=4.0
+    --bench-min-speedup pipeline_clip_batch_vs_per_clip=1.0
 """
 
 import time
@@ -85,8 +97,7 @@ def test_e12_pipeline_block_throughput(square_array, clip, bench_json):
         ["engine", "frames", "wall ms", "speedup"],
         rows,
     )
-    bench_json("pipeline_10s_4mic", t_batch * 1e3, speedup)
-    assert speedup >= 10.0
+    bench_json("pipeline_10s_4mic", t_batch * 1e3, speedup)  # guarded >= 10x
     assert sum(r.detected for r in streamed) == 0  # quiet-street scenario held
 
 
@@ -111,8 +122,7 @@ def test_e12_pipeline_dense_detections(square_array, clip, bench_json):
             ("batched", len(batched), t_batch * 1e3, speedup),
         ],
     )
-    bench_json("pipeline_10s_4mic_dense_noise", t_batch * 1e3, speedup)
-    assert speedup > 2.0
+    bench_json("pipeline_10s_4mic_dense_noise", t_batch * 1e3, speedup)  # guarded >= 2x
 
 
 def _time_srp(localizer, frames, repeats=3):
@@ -141,18 +151,16 @@ def test_e12_srp_map_sweep(square_array, bench_json):
         t_loop, t_batch = _time_srp(loc, frames)
         speedups[name] = t_loop / t_batch
         rows.append((name, t_loop * 1e3, t_batch * 1e3, speedups[name]))
+        # Guarded: the conventional full-spectrum steering is where batching
+        # pays off hardest (one real GEMM replaces 1200 complex GEMVs + 2400
+        # FFTs), >= 5x; the Nyquist-fast variant is already overhead-lean per
+        # frame, and batching must still not lose (>= 1x).
         bench_json(f"srp_map_sweep_{cls.__name__}", t_batch * 1e3, speedups[name])
     print_table(
         "E12 SRP map sweep, 200 frames x 72x9 grid",
         ["variant", "loop ms", "batch ms", "speedup"],
         rows,
     )
-    # The conventional full-spectrum steering is where batching pays off
-    # hardest (one real GEMM replaces 1200 complex GEMVs + 2400 FFTs).
-    assert speedups["conventional"] >= 5.0
-    # The Nyquist-fast variant is already overhead-lean per frame; batching
-    # must still not lose.
-    assert speedups["nyquist-fast"] >= 1.0
 
 
 def test_e12_batch_of_recordings(square_array, bench_json):
@@ -194,11 +202,11 @@ def test_e12_batch_of_recordings(square_array, bench_json):
             ("one batch", t_batch * 1e3, speedup),
         ],
     )
-    bench_json("pipeline_clip_batch_64x0.25s", t_batch * 1e3, speedup)
+    bench_json("pipeline_clip_batch_64x0.25s", t_batch * 1e3, speedup)  # guarded >= 4x
+    # Guarded >= 1.0: cross-clip batching beats per-clip batching.
+    bench_json("pipeline_clip_batch_vs_per_clip", t_batch * 1e3, t_single / t_batch)
     assert len(batched) == len(clips)
     for ref, got in zip(streamed, batched):
         assert_frame_results_equal(ref, got)
     for ref, got in zip(per_clip, batched):
         assert_frame_results_equal(ref, got)
-    assert speedup > 4.0
-    assert t_batch < t_single  # cross-clip batching beats per-clip batching

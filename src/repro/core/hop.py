@@ -15,6 +15,18 @@ tracker, refinement window, frame counter — is *not* owned here: each driver
 passes the state it wants advanced, so one kernel serves a single stream,
 a batch of independent clips, or a fleet shard equally.
 
+**One pass per step.**  :meth:`HopKernel.run_clips` is the only driver: a
+streaming tick or a batch chunk is a step of one clip, a fleet shard step
+is one clip per node.  Each stage runs once per step over the concatenated
+clips — one cache, one detector forward, one localization pass — and only
+tracking loops over clips.  Localization keeps every clip's stream state
+apart: the built-in localizers search each clip's hits as one segment of a
+single coarse-to-fine pass, replaying that clip's
+:class:`~repro.ssl.refine.RefineState` (:mod:`repro.ssl.refine`);
+external localizers are called once per clip.  The localizers compute a
+frame's power from that frame alone, so a clip's peaks do not depend on
+which clips share its step.
+
 **Adaptive priming.**  In the dense-detection regime the kernel "primes" the
 shared :class:`~repro.ssl.gcc.SpectraCache` — the localizer's FFTs are
 computed up front and the detector derives its windowed spectra from them
@@ -38,7 +50,7 @@ from repro.nn.losses import softmax
 from repro.sed.events import EVENT_CLASSES, is_emergency
 from repro.ssl.gcc import SpectraCache
 from repro.ssl.refine import RefineState
-from repro.ssl.srp import SrpResult
+from repro.ssl.srp import SrpResult, _CoarseToFineMixin
 from repro.ssl.tracking import KalmanDoaTracker
 
 if TYPE_CHECKING:  # circular at runtime: pipeline builds its kernel lazily
@@ -152,32 +164,57 @@ class HopKernel:
         self,
         cache: SpectraCache,
         detected: np.ndarray,
-        state: RefineState | None,
-        *,
-        offset: int = 0,
-    ) -> dict[int, SrpResult]:
-        """Batched localization of the detected frames only.
+        states: Sequence[RefineState | None],
+        bounds: Sequence[int],
+    ) -> list[tuple[list, list]]:
+        """Localize every clip's detected rows in one pass.
 
-        ``detected`` indexes cache rows ``offset .. offset + len(detected)``;
-        the hit rows are sliced out of the shared cache (keeping whatever
-        spectra the detector already computed) and run through the
-        localizer's cached coarse-to-fine path; ``state`` carries the
-        temporal-reuse window.  The returned dict is keyed relative to
-        ``offset``.
+        Clip ``i`` is cache rows ``bounds[i]:bounds[i + 1]``, and
+        ``states[i]`` carries its temporal-reuse window.  The hit rows of
+        all clips form one cache selection (the shared cache itself when
+        every row hit, else one ``take``).  The built-in localizers
+        (:class:`~repro.ssl.srp.SrpPhat`,
+        :class:`~repro.ssl.srp_fast.FastSrpPhat`,
+        :class:`~repro.ssl.music.MusicDoa`) then run one GCC, one coarse
+        sweep and one set of window GEMMs for the whole step, each clip's
+        window selection replaying its own state over its own segment of
+        the hits; the peaks are read as floats off the grid axes, with no
+        map or :class:`~repro.ssl.srp.SrpResult` built.  A frame's power
+        depends on that frame alone, so each clip gets what localizing it
+        alone would give.  Any other localizer is called once per clip with
+        that clip's state (see :meth:`_localize_cache`).
+
+        Returns one ``(azimuths, elevations)`` pair of lists per clip, one
+        entry per detected row in row order.
         """
         hits = np.flatnonzero(detected)
         if hits.size == 0:
-            return {}
-        if offset == 0 and hits.size == cache.n_frames:
-            sub = cache
-        else:
-            sub = cache.take(hits + offset)
-        return dict(zip(hits.tolist(), self._localize_cache(sub, state)))
+            return [([], []) for _ in states]
+        sub = cache if hits.size == cache.n_frames else cache.take(hits)
+        seg = np.searchsorted(hits, bounds).tolist()  # clip bounds among the hits
+        localizer = self.pipeline.localizer
+        if isinstance(localizer, _CoarseToFineMixin):
+            flats = localizer._peak_flats(sub, seg, list(states))
+            grid = localizer.grid
+            i, j = np.divmod(flats, grid.n_elevation)
+            azimuths = grid.azimuths[i].tolist()
+            elevations = grid.elevations[j].tolist()
+            return [(azimuths[a:b], elevations[a:b]) for a, b in zip(seg, seg[1:])]
+        # External localizers: one call per clip, with that clip's state.
+        out = []
+        for a, b, state in zip(seg, seg[1:], states):
+            results = []
+            if b > a:
+                clip = sub if b - a == sub.n_frames else sub.take(np.arange(a, b))
+                results = self._localize_cache(clip, state)
+            out.append(([r.azimuth for r in results], [r.elevation for r in results]))
+        return out
 
     def _localize_cache(self, sub: SpectraCache, state: RefineState | None) -> list[SrpResult]:
-        """Run one cache of frames through the localizer's batched path.
+        """Run one clip's cache of frames through an external localizer.
 
-        External localizers degrade gracefully: without the cache/state
+        External localizers degrade gracefully: with ``localize_batch`` and
+        its cache/state keywords they get the clip's cache; without those
         keywords they receive the original float64 frames, and without a
         ``localize_batch`` at all they are driven one frame at a time
         through ``localize`` (passing ``state`` when supported) — the
@@ -217,39 +254,38 @@ class HopKernel:
         labels: list[str],
         confidences: np.ndarray,
         detected: np.ndarray,
-        doas: dict[int, SrpResult],
+        azimuths: list,
+        elevations: list,
         start_index: int,
     ) -> "list[FrameResult]":
-        """Sequential tracker update/predict pass, identical to stream order."""
+        """Sequential tracker update/predict pass, identical to stream order.
+
+        ``azimuths``/``elevations`` are one clip's :meth:`localize` lists:
+        the ``k``-th detected row updates the tracker with the ``k``-th
+        entries.
+        """
         from repro.core.pipeline import FrameResult
 
         nan = float("nan")
+        confidences = confidences.tolist()
         if not tracker.initialized and not detected.any():
             # Nothing fires and nothing is tracked: the replay is bookkeeping.
             return [
                 FrameResult(start_index + t, labels[t], conf, False, nan, nan)
-                for t, conf in enumerate(confidences.tolist())
+                for t, conf in enumerate(confidences)
             ]
         out: "list[FrameResult]" = []
-        for t in range(len(labels)):
-            azimuth = elevation = float("nan")
-            if detected[t]:
-                res = doas[t]
-                state = tracker.update(res.azimuth, res.elevation)
+        hit = 0
+        for t, (label, conf, fired) in enumerate(zip(labels, confidences, detected.tolist())):
+            azimuth = elevation = nan
+            if fired:
+                state = tracker.update(azimuths[hit], elevations[hit])
+                hit += 1
                 azimuth, elevation = state.azimuth, state.elevation
             elif tracker.initialized:
                 state = tracker.predict()
                 azimuth, elevation = state.azimuth, state.elevation
-            out.append(
-                FrameResult(
-                    start_index + t,
-                    labels[t],
-                    float(confidences[t]),
-                    bool(detected[t]),
-                    azimuth,
-                    elevation,
-                )
-            )
+            out.append(FrameResult(start_index + t, label, conf, fired, azimuth, elevation))
         return out
 
     # ----------------------------------------------------------- drivers
@@ -263,17 +299,15 @@ class HopKernel:
         start_index: int = 0,
         prime: bool | None = None,
     ) -> "list[FrameResult]":
-        """Advance one stream by one block of hops.
+        """Advance one stream by one block of hops: :meth:`run_clips` of
+        one clip.
 
         ``frames`` is ``(T, M, L)``; ``tracker``/``state`` are the stream's
         mutable tracker and refinement-window state, advanced in place.
         This is the whole per-hop pipeline for every engine: a streaming
         tick is a block of one, a batch chunk a block of many.
         """
-        cache = self.make_cache(frames)
-        labels, confidences, detected = self.detect(cache, prime=prime)
-        doas = self.localize(cache, detected, state)
-        return self.track(tracker, labels, confidences, detected, doas, start_index)
+        return self.run_clips([frames], [tracker], [state], [start_index], prime=prime)[0]
 
     def run_clips(
         self,
@@ -284,12 +318,14 @@ class HopKernel:
         *,
         prime: bool | None = None,
     ) -> "list[list[FrameResult]]":
-        """Advance several independent streams through **one** shared cache.
+        """Advance several independent streams through **one** kernel pass.
 
-        The blocks (``(T_i, M, L)`` each) are concatenated so detection and
-        cache priming run as a single batched pass; localization and
-        tracking then replay per stream with that stream's own state.  This
-        is the fleet-shard shape: one detector forward per shard per step.
+        The blocks (``(T_i, M, L)`` each) are concatenated into one shared
+        cache: detection, cache priming and localization each run once for
+        the step (:meth:`localize` replays every clip's refinement state
+        over its own segment), then tracking replays per stream with that
+        stream's own tracker.  This is the fleet-shard shape: one detector
+        forward and one localization pass per shard per step.
         """
         if not len(blocks) == len(trackers) == len(states) == len(start_indices):
             raise ValueError("blocks, trackers, states and start_indices must align")
@@ -298,21 +334,21 @@ class HopKernel:
         flat = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=0)
         cache = self.make_cache(flat)
         labels, confidences, detected = self.detect(cache, prime=prime)
-        out: "list[list[FrameResult]]" = []
-        lo = 0
-        for block, tracker, state, start in zip(blocks, trackers, states, start_indices):
-            per_clip = block.shape[0]
-            clip_detected = detected[lo : lo + per_clip]
-            doas = self.localize(cache, clip_detected, state, offset=lo)
-            out.append(
-                self.track(
-                    tracker,
-                    labels[lo : lo + per_clip],
-                    confidences[lo : lo + per_clip],
-                    clip_detected,
-                    doas,
-                    start,
-                )
+        bounds = [0]
+        for block in blocks:
+            bounds.append(bounds[-1] + block.shape[0])
+        doas = self.localize(cache, detected, states, bounds)
+        return [
+            self.track(
+                tracker,
+                labels[lo:hi],
+                confidences[lo:hi],
+                detected[lo:hi],
+                azimuths,
+                elevations,
+                start,
             )
-            lo += per_clip
-        return out
+            for tracker, start, lo, hi, (azimuths, elevations) in zip(
+                trackers, start_indices, bounds, bounds[1:], doas
+            )
+        ]

@@ -64,18 +64,34 @@ class DoaGrid:
             raise ValueError("grid must have at least 2 azimuths and 1 elevation")
         if not -np.pi / 2 <= self.el_min <= self.el_max <= np.pi / 2:
             raise ValueError("need -pi/2 <= el_min <= el_max <= pi/2")
+        # The axes are read on every localization call: build them once,
+        # read-only so no caller can corrupt the grid they are shared by.
+        azimuths = np.linspace(-np.pi, np.pi, self.n_azimuth, endpoint=False)
+        if self.n_elevation == 1:
+            elevations = np.array([0.5 * (self.el_min + self.el_max)])
+        else:
+            elevations = np.linspace(self.el_min, self.el_max, self.n_elevation)
+        for name, axis in (("_azimuths", azimuths), ("_elevations", elevations)):
+            axis.flags.writeable = False
+            object.__setattr__(self, name, axis)
+
+    def __getstate__(self) -> tuple:
+        # Pickle the fields only: unpickling rebuilds the read-only axes
+        # (a pickled array would come back writeable).
+        return (self.n_azimuth, self.n_elevation, self.el_min, self.el_max)
+
+    def __setstate__(self, state: tuple) -> None:
+        self.__init__(*state)
 
     @property
     def azimuths(self) -> np.ndarray:
-        """Azimuth samples in radians, shape ``(n_azimuth,)``."""
-        return np.linspace(-np.pi, np.pi, self.n_azimuth, endpoint=False)
+        """Azimuth samples in radians, shape ``(n_azimuth,)`` (read-only)."""
+        return self._azimuths
 
     @property
     def elevations(self) -> np.ndarray:
-        """Elevation samples in radians, shape ``(n_elevation,)``."""
-        if self.n_elevation == 1:
-            return np.array([0.5 * (self.el_min + self.el_max)])
-        return np.linspace(self.el_min, self.el_max, self.n_elevation)
+        """Elevation samples in radians, shape ``(n_elevation,)`` (read-only)."""
+        return self._elevations
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -127,7 +127,7 @@ class MusicDoa(_CoarseToFineMixin):
         )  # (B, G, M)
         self.refine = refine
         self.spectra_dtype = np.dtype(spectra_dtype)
-        self._typed_steering: dict[str, np.ndarray] = {}
+        self._typed_steering: dict[np.dtype, np.ndarray] = {}
 
     # --------------------------------------------------- coarse-to-fine hooks
 
@@ -139,7 +139,7 @@ class MusicDoa(_CoarseToFineMixin):
         return frames
 
     def _steering_typed(self, complex_dtype: np.dtype) -> np.ndarray:
-        key = np.dtype(complex_dtype).name
+        key = np.dtype(complex_dtype)
         if key not in self._typed_steering:
             self._typed_steering[key] = np.ascontiguousarray(
                 np.conj(self._steering), dtype=complex_dtype

@@ -17,7 +17,20 @@ pipeline bottleneck.  This module implements the standard hierarchical fix
 
 The search is sequential in its window *selection* (so a frame-at-a-time
 streaming pipeline and the batched engine replay bit-identical decisions)
-but batched in its window *evaluation*.
+but batched in its window *evaluation*.  Selection runs on Python ints: the
+per-frame coarse argmax and ambiguity flags come out of numpy once per call
+(``tolist``), and :class:`GridPyramid` tabulates coarse cells and their
+Chebyshev distances, so a frame's reuse test and top-k pick are list
+lookups.
+
+**Segments.**  One call may carry several independent streams (the hop
+kernel's clips of one step): segment ``i`` is a run of consecutive frames
+whose selection replays its own :class:`RefineState`.  The coarse sweep,
+the ambiguity flags and the window GEMMs still run once over every frame,
+and frames of different segments that share a window share its GEMM.  A
+frame's power comes from that frame alone, so a segment's peaks and state
+are the ones a call over that segment alone gives;
+:func:`coarse_to_fine_search` is the one-segment case.
 
 Exactness contract: the refined peak always dominates the best coarse
 sample, and equals the dense sweep's argmax whenever that argmax falls in an
@@ -30,7 +43,7 @@ coarse stride, and asserted as a tolerance (normalized peak-power gap, see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -128,6 +141,12 @@ class GridPyramid:
     Level ``levels - 1`` is the coarse sweep grid; level 0 is the full grid.
     All levels are index subsets of the full grid, so "per-level steering
     tensors" are column subsets of the localizer's full steering tensor.
+
+    A coarse cell is addressed either as ``(azimuth, elevation)`` cell
+    coordinates or by its coarse index ``azimuth * el_cells + elevation``
+    (its column in the coarse sweep).  The pyramid tabulates the index
+    form once — each index's cell, and the Chebyshev distance between any
+    two — so the search's per-frame window selection is Python int lookups.
     """
 
     def __init__(self, grid: DoaGrid, levels: int) -> None:
@@ -148,25 +167,32 @@ class GridPyramid:
         self.coarse_flat = (
             az_idx[:, None] * grid.n_elevation + el_idx[None, :]
         ).ravel()
-        # Per-(cell, gate) window LUT and per-cell-set window memo: windows
-        # recur heavily (temporal reuse, and a bounded set of top-k combos),
-        # and handing back the *same* array object for the same cell set lets
-        # the search group all frames sharing it into one GEMM.
+        self._cells = [divmod(c, self.el_cells) for c in range(self.coarse_flat.size)]
+        # Per-(cell set, gate) window memo: windows recur heavily (temporal
+        # reuse, and a bounded set of top-k combos), and handing back the
+        # *same* array object for the same cell set lets the search group
+        # all frames sharing it into one GEMM.
         self._cell_windows: dict[int, list[np.ndarray]] = {}
         self._window_memo: dict[tuple, np.ndarray] = {}
+        self._dist: list[list[int]] | None = None
         self._near_mask: np.ndarray | None = None
+
+    def _distances(self) -> list[list[int]]:
+        """:meth:`cell_distance` between every two coarse indices, as nested
+        int lists (``[a][b]``); built once, with :meth:`near_mask`."""
+        if self._dist is None:
+            ci, cj = np.divmod(np.arange(self.coarse_flat.size), self.el_cells)
+            da = np.abs(ci[:, None] - ci[None, :])
+            da = np.minimum(da, self.az_cells - da)
+            dist = np.maximum(da, np.abs(cj[:, None] - cj[None, :]))
+            self._dist, self._near_mask = dist.tolist(), dist < 2
+        return self._dist
 
     def near_mask(self) -> np.ndarray:
         """Boolean ``(n_cells, n_cells)``: coarse cells within Chebyshev
         distance < 2 of each other (the "same lobe" neighbourhood used by
         the ambiguity check and the spatially-diverse top-k pick)."""
-        if self._near_mask is None:
-            n = self.az_cells * self.el_cells
-            ci, cj = np.divmod(np.arange(n), self.el_cells)
-            da = np.abs(ci[:, None] - ci[None, :])
-            da = np.minimum(da, self.az_cells - da)
-            dist = np.maximum(da, np.abs(cj[:, None] - cj[None, :]))
-            self._near_mask = dist < 2
+        self._distances()
         return self._near_mask
 
     @property
@@ -196,18 +222,20 @@ class GridPyramid:
         tolerance to the coarse map's peak picking rather than to coverage
         gaps.
         """
-        key = (tuple(sorted(cells)), gate)
+        return self._window([ci * self.el_cells + cj for ci, cj in cells], gate)
+
+    def _window(self, indices: list[int], gate: int) -> np.ndarray:
+        """:meth:`window_cols` of coarse indices (one memo for both forms)."""
+        key = (tuple(sorted(indices)), gate)
         memo = self._window_memo
         hit = memo.get(key)
         if hit is not None:
             return hit
         per_cell = self._cell_lut(gate)
-        if len(cells) == 1:
-            out = per_cell[cells[0][0] * self.el_cells + cells[0][1]]
+        if len(indices) == 1:
+            out = per_cell[indices[0]]
         else:
-            out = np.unique(
-                np.concatenate([per_cell[ci * self.el_cells + cj] for ci, cj in cells])
-            )
+            out = np.unique(np.concatenate([per_cell[c] for c in indices]))
         if len(memo) > 4096:  # bounded: distinct top-k combos recur heavily
             memo.clear()
         memo[key] = out
@@ -265,20 +293,32 @@ def coarse_to_fine_search(
     ``(peak_flat, maps)``: per-frame full-grid flat argmax indices and the
     partially evaluated power maps ``(n_frames, grid.size)`` (unevaluated
     cells hold ``-inf`` so downstream argmaxes can never land on them).
+
+    This is the one-segment case of :func:`_search_segments`.
     """
-    if state is None:
-        state = RefineState()
-    grid = pyramid.grid
+    return _search_segments(power_fn, [0, n_frames], [state], pyramid, config, maps=True)
+
+
+def _search_segments(
+    power_fn: Callable[[np.ndarray | None, np.ndarray], np.ndarray],
+    bounds: Sequence[int],
+    states: Sequence[RefineState | None],
+    pyramid: GridPyramid,
+    config: RefineConfig,
+    *,
+    maps: bool,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The search over consecutive segments of one block (module docstring,
+    "Segments"): segment ``i`` is frames ``bounds[i]:bounds[i + 1]`` and
+    replays ``states[i]`` (``None``: a fresh anchor).  Returns ``(peak_flat,
+    maps)`` as :func:`coarse_to_fine_search` does; ``maps`` is ``None``
+    unless asked for.
+    """
+    n_frames = bounds[-1]
     coarse_cols = pyramid.coarse_flat
     cp = power_fn(None, coarse_cols)  # (T, Gc)
     top1 = cp.argmax(axis=1)
     k = min(config.top_k, coarse_cols.size)
-    # Candidate pool for the spatially-diverse top-k pick (rebuilds only).
-    m = min(4 * k, coarse_cols.size)
-    if m < coarse_cols.size:
-        cand = np.argpartition(cp, -m, axis=1)[:, -m:]
-    else:
-        cand = np.broadcast_to(np.arange(coarse_cols.size), cp.shape)
 
     # Lobe-ambiguity flag: a spatially separated coarse runner-up close to
     # the top means two source lobes compete — reusing a stale single-lobe
@@ -286,64 +326,93 @@ def coarse_to_fine_search(
     # sweep, so those frames always re-select (and their NMS top-k covers
     # both lobes).
     lo = cp.min(axis=1)
-    hi = cp[np.arange(n_frames), top1]
-    runner = np.where(pyramid.near_mask()[top1], -np.inf, cp).max(axis=1)
-    ambiguous = (hi - runner) < 0.25 * np.maximum(hi - lo, 1e-30)
-
-    # Sequential window selection (cheap index math; identical in streaming
-    # frame-at-a-time calls and in one batched call over the same frames).
-    windows: list[np.ndarray] = []
-    for t in range(n_frames):
-        cell = pyramid.coarse_cell(top1[t])
-        if (
-            not ambiguous[t]
-            and state.window is not None
-            and state.anchor is not None
-            and pyramid.cell_distance(cell, state.anchor) <= config.reuse_gate
-        ):
-            state.n_reused += 1
-        else:
-            # Spatially-diverse top-k (greedy non-maximum suppression over
-            # coarse cells): adjacent coarse samples of one wide lobe must
-            # not crowd out a second source's lobe — multi-source maps are
-            # exactly where refining only clustered cells diverges from the
-            # dense sweep.
-            row = cp[t]
-            order = cand[t][np.argsort(row[cand[t]])[::-1]]
-            cells: list[tuple[int, int]] = []
-            for c in order:
-                cc = pyramid.coarse_cell(c)
-                if all(pyramid.cell_distance(cc, s) >= 2 for s in cells):
-                    cells.append(cc)
-                if len(cells) == k:
-                    break
-            state.window = pyramid.window_cols(cells, gate=config.reuse_gate)
-            state.anchor = cell
-            state.n_selected += 1
-        windows.append(state.window)
-
-    maps = np.full((n_frames, grid.size), -np.inf, dtype=cp.dtype)
-    maps[:, coarse_cols] = cp
-    peak_flat = coarse_cols[top1].astype(np.intp)
     peak_power = cp[np.arange(n_frames), top1]
+    runner = np.where(pyramid.near_mask()[top1], -np.inf, cp).max(axis=1)
+    ambiguous = (peak_power - runner) < 0.25 * np.maximum(peak_power - lo, 1e-30)
 
-    # Batched window evaluation: group frames sharing the same window object
-    # (temporal reuse makes these groups long runs in continuous replay).
-    groups: dict[int, list[int]] = {}
-    keyed: dict[int, np.ndarray] = {}
-    for t, w in enumerate(windows):
-        groups.setdefault(id(w), []).append(t)
-        keyed[id(w)] = w
-    for wid, ts in groups.items():
-        w = keyed[wid]
-        rows = np.asarray(ts, dtype=np.intp)
+    # Sequential window selection on Python ints (identical in streaming
+    # frame-at-a-time calls and in one batched call over the same frames).
+    dist = pyramid._distances()
+    cells = pyramid._cells
+    gate = config.reuse_gate
+    top1_l = top1.tolist()
+    ambiguous_l = ambiguous.tolist()
+    ranked: list[list[int]] | None = None
+    groups: dict[int, tuple[np.ndarray, list[int]]] = {}
+    for (start, stop), state in zip(zip(bounds, bounds[1:]), states):
+        if state is None:
+            state = RefineState()
+        # Distance of every coarse cell to the anchor (None: nothing to reuse).
+        window, anchor, from_anchor = state.window, state.anchor, None
+        if window is not None and anchor is not None:
+            if 0 <= anchor[0] < pyramid.az_cells and 0 <= anchor[1] < pyramid.el_cells:
+                from_anchor = dist[anchor[0] * pyramid.el_cells + anchor[1]]
+            else:  # an anchor from another pyramid
+                from_anchor = [pyramid.cell_distance(c, anchor) for c in cells]
+        for t in range(start, stop):
+            cell = top1_l[t]
+            if from_anchor is not None and not ambiguous_l[t] and from_anchor[cell] <= gate:
+                state.n_reused += 1
+            else:
+                # Spatially-diverse top-k (greedy non-maximum suppression
+                # over coarse cells): adjacent coarse samples of one wide
+                # lobe must not crowd out a second source's lobe —
+                # multi-source maps are exactly where refining only
+                # clustered cells diverges from the dense sweep.
+                if ranked is None:
+                    ranked = _ranked_candidates(cp, k)
+                chosen: list[int] = []
+                for c in ranked[t]:
+                    row = dist[c]
+                    if all(row[s] >= 2 for s in chosen):
+                        chosen.append(c)
+                    if len(chosen) == k:
+                        break
+                window = pyramid._window(chosen, gate)
+                from_anchor = dist[cell]
+                state.window = window
+                state.anchor = cells[cell]
+                state.n_selected += 1
+            group = groups.get(id(window))
+            if group is None:
+                groups[id(window)] = (window, [t])
+            else:
+                group[1].append(t)
+
+    out = None
+    if maps:
+        out = np.full((n_frames, pyramid.grid.size), -np.inf, dtype=cp.dtype)
+        out[:, coarse_cols] = cp
+
+    # Batched window evaluation: one GEMM per window object (temporal reuse
+    # makes these groups long runs in continuous replay).  Every frame has
+    # exactly one window, so each row of the window peaks is written once.
+    window_flat = np.empty(n_frames, dtype=np.intp)
+    window_power = np.empty_like(peak_power)
+    for w, ts in groups.values():
+        rows = np.array(ts, dtype=np.intp)
         pw = power_fn(rows, w)  # (R, W)
-        maps[rows[:, None], w[None, :]] = pw
-        am = pw.argmax(axis=1)
-        wp = pw[np.arange(rows.size), am]
-        better = wp >= peak_power[rows]
-        peak_flat[rows[better]] = w[am[better]]
-    return peak_flat, maps
+        if out is not None:
+            out[rows[:, None], w[None, :]] = pw
+        window_flat[rows] = w[pw.argmax(axis=1)]
+        window_power[rows] = pw.max(axis=1)
+    # A window peak at least as strong as the coarse peak replaces it, so
+    # the refined peak always dominates the best coarse sample.
+    peak_flat = np.where(window_power >= peak_power, window_flat, coarse_cols[top1])
+    return peak_flat, out
+
+
+def _ranked_candidates(cp: np.ndarray, k: int) -> list[list[int]]:
+    """Per frame, the ``4 * k`` best coarse indices, best first (the
+    candidate pool of the spatially-diverse top-k pick)."""
+    m = min(4 * k, cp.shape[1])
+    if m < cp.shape[1]:
+        cand = np.argpartition(cp, -m, axis=1)[:, -m:]
+    else:
+        cand = np.broadcast_to(np.arange(cp.shape[1]), cp.shape)
+    rows = np.arange(cp.shape[0])[:, None]
+    order = np.argsort(cp[rows, cand], axis=1)[:, ::-1]
+    return cand[rows, order].tolist()
 
 
 def refinement_gap(dense_maps: np.ndarray, peak_flat: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 from repro.acoustics.geometry import SPEED_OF_SOUND
 from repro.ssl.doa import DoaGrid
 from repro.ssl.gcc import SpectraCache, gcc_phat_spectra
-from repro.ssl.refine import GridPyramid, RefineConfig, RefineState, coarse_to_fine_search
+from repro.ssl.refine import GridPyramid, RefineConfig, RefineState, _search_segments
 
 __all__ = ["SrpPhat", "SrpResult", "mic_pairs", "pair_tdoas"]
 
@@ -145,6 +145,35 @@ class _CoarseToFineMixin:
             refine = RefineConfig(levels=refine)
         return refine if refine.levels > 1 else None
 
+    def _checked_cache(self, frames: np.ndarray | None, cache: SpectraCache | None) -> SpectraCache:
+        """The cache to localize from: ``cache`` (mic count checked), or
+        one built over the validated ``frames``."""
+        if cache is None:
+            frames = self._validate_block(np.asarray(frames))
+            return SpectraCache(frames, dtype=self.spectra_dtype)
+        if cache.n_mics != self.positions.shape[0]:
+            raise ValueError(f"cache has {cache.n_mics} mics, expected {self.positions.shape[0]}")
+        return cache
+
+    def _search(
+        self,
+        cache: SpectraCache,
+        refine: RefineConfig,
+        bounds: list[int],
+        states: list[RefineState | None],
+        *,
+        maps: bool,
+        **kwargs,
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Coarse-to-fine peaks (and maps) of every cache row, segment ``i``
+        (rows ``bounds[i]:bounds[i + 1]``) replaying ``states[i]``."""
+        pyramid = self._pyramid(refine.levels)
+        if pyramid.is_trivial:
+            dense = self._map_from_cache(cache, **kwargs).reshape(cache.n_frames, -1)
+            return dense.argmax(axis=1), dense
+        power_fn = self._c2f_power_fn(cache, pyramid, **kwargs)
+        return _search_segments(power_fn, bounds, states, pyramid, refine, maps=maps)
+
     def _c2f_localize_batch(
         self,
         frames: np.ndarray | None,
@@ -154,20 +183,22 @@ class _CoarseToFineMixin:
         **kwargs,
     ) -> list["SrpResult"]:
         """Coarse-to-fine localization of a block (frames or a shared cache)."""
-        if cache is None:
-            frames = self._validate_block(np.asarray(frames))
-            cache = SpectraCache(frames, dtype=self.spectra_dtype)
-        elif cache.n_mics != self.positions.shape[0]:
-            raise ValueError(f"cache has {cache.n_mics} mics, expected {self.positions.shape[0]}")
-        pyramid = self._pyramid(refine.levels)
-        if pyramid.is_trivial:
-            maps = self._map_from_cache(cache, **kwargs)
-            return _batch_peaks(self.grid, self._directions, maps)
-        power_fn = self._c2f_power_fn(cache, pyramid, **kwargs)
-        flats, maps = coarse_to_fine_search(
-            power_fn, cache.n_frames, pyramid, refine, state
-        )
+        cache = self._checked_cache(frames, cache)
+        flats, maps = self._search(cache, refine, [0, cache.n_frames], [state], maps=True, **kwargs)
         return _results_at(self.grid, self._directions, maps, flats)
+
+    def _peak_flats(
+        self, cache: SpectraCache, bounds: list[int], states: list[RefineState | None]
+    ) -> np.ndarray:
+        """Flat grid index of every cache row's peak, under the default
+        refine config: the :meth:`localize_batch` of each segment
+        ``bounds[i]:bounds[i + 1]`` with ``state=states[i]``, in one pass
+        and without building maps (the hop kernel's entry point)."""
+        cache = self._checked_cache(None, cache)
+        refine = self._resolve_refine(None)
+        if refine is None:
+            return self._map_from_cache(cache).reshape(cache.n_frames, -1).argmax(axis=1)
+        return self._search(cache, refine, bounds, states, maps=False)[0]
 
 
 @dataclass(frozen=True)
@@ -252,8 +283,8 @@ class SrpPhat(_CoarseToFineMixin):
         self._steering_flat: np.ndarray | None = None
         self.refine = refine
         self.spectra_dtype = np.dtype(spectra_dtype)
-        self._typed_steering: dict[str, np.ndarray] = {}
-        self._coarse_steering: dict[tuple[int, str], np.ndarray] = {}
+        self._typed_steering: dict[np.dtype, np.ndarray] = {}
+        self._coarse_steering: dict[tuple[int, np.dtype], np.ndarray] = {}
 
     @property
     def n_coefficients(self) -> int:
@@ -270,7 +301,7 @@ class SrpPhat(_CoarseToFineMixin):
             w[0::2] = flat.real
             w[1::2] = -flat.imag
             self._steering_flat = w
-        key = np.dtype(dtype).name
+        key = np.dtype(dtype)
         if key not in self._typed_steering:
             self._typed_steering[key] = np.ascontiguousarray(
                 self._steering_flat, dtype=dtype
@@ -279,7 +310,7 @@ class SrpPhat(_CoarseToFineMixin):
 
     def _coarse_tensor(self, pyramid: GridPyramid, dtype: np.dtype) -> np.ndarray:
         """Precomputed per-level steering tensor (coarse-grid column subset)."""
-        key = (pyramid.az_stride * 100000 + pyramid.el_stride, np.dtype(dtype).name)
+        key = (pyramid.az_stride * 100000 + pyramid.el_stride, np.dtype(dtype))
         if key not in self._coarse_steering:
             self._coarse_steering[key] = np.ascontiguousarray(
                 self._steering_interleaved(dtype)[:, pyramid.coarse_flat]

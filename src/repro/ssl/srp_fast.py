@@ -99,8 +99,8 @@ class FastSrpPhat(_CoarseToFineMixin):
         self._read_matrix: np.ndarray | None = None
         self.refine = refine
         self.spectra_dtype = np.dtype(spectra_dtype)
-        self._typed_read: dict[str, np.ndarray] = {}
-        self._coarse_read: dict[tuple[int, str], np.ndarray] = {}
+        self._typed_read: dict[np.dtype, np.ndarray] = {}
+        self._coarse_read: dict[tuple[int, np.dtype], np.ndarray] = {}
 
     @property
     def n_coefficients(self) -> int:
@@ -119,14 +119,14 @@ class FastSrpPhat(_CoarseToFineMixin):
             g_idx = np.arange(self.grid.size)[None, :, None]
             np.add.at(dense, (p_idx, self._indices, g_idx), self._weights)
             self._read_matrix = dense.reshape(n_pairs * n_lags, self.grid.size)
-        key = np.dtype(dtype).name
+        key = np.dtype(dtype)
         if key not in self._typed_read:
             self._typed_read[key] = np.ascontiguousarray(self._read_matrix, dtype=dtype)
         return self._typed_read[key]
 
     def _coarse_tensor(self, pyramid: GridPyramid, dtype: np.dtype) -> np.ndarray:
         """Precomputed per-level read tensor (coarse-grid column subset)."""
-        key = (pyramid.az_stride * 100000 + pyramid.el_stride, np.dtype(dtype).name)
+        key = (pyramid.az_stride * 100000 + pyramid.el_stride, np.dtype(dtype))
         if key not in self._coarse_read:
             self._coarse_read[key] = np.ascontiguousarray(
                 self._read_matrix_typed(dtype)[:, pyramid.coarse_flat]

@@ -187,9 +187,9 @@ class _ShardRunner:
             return HopReply((), {}, time.perf_counter() - t0)
         pipes = [self.pipelines[nid] for nid in nids]
         shared = all(p.pipeline.localizer is pipes[0].pipeline.localizer for p in pipes)
-        if shared and len(nids) > 1:
-            # One shared-cache kernel pass for the whole shard: a single
-            # detector forward, per-node localization/tracking replay.
+        if shared:
+            # One kernel pass for the whole shard: a single detector forward
+            # and localization pass, per-node refinement and tracking replay.
             outs = pipes[0].pipeline.hop_kernel.run_clips(
                 blocks,
                 [self.trackers[nid] for nid in nids],

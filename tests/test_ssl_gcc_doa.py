@@ -130,6 +130,31 @@ class TestDoaGrid:
         assert g.elevations.shape == (1,)
         assert g.elevations[0] == 0.0
 
+    @pytest.mark.parametrize(
+        "n_az, n_el, el_min, el_max",
+        [(36, 2, 0.0, np.pi / 4), (72, 9, -0.2, 0.5), (8, 1, 0.1, 0.3), (5, 4, -np.pi / 2, np.pi / 2)],
+    )
+    def test_axes_built_once_and_read_only(self, n_az, n_el, el_min, el_max):
+        import pickle
+
+        g = DoaGrid(n_azimuth=n_az, n_elevation=n_el, el_min=el_min, el_max=el_max)
+        az = np.linspace(-np.pi, np.pi, n_az, endpoint=False)
+        el = (
+            np.array([0.5 * (el_min + el_max)])
+            if n_el == 1
+            else np.linspace(el_min, el_max, n_el)
+        )
+        assert np.array_equal(g.azimuths, az) and np.array_equal(g.elevations, el)
+        assert g.azimuths is g.azimuths and g.elevations is g.elevations
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and hash(copy) == hash(g)
+        for grid in (g, copy):
+            for axis in (grid.azimuths, grid.elevations):
+                with pytest.raises(ValueError):
+                    axis[0] = 1.0
+        assert np.array_equal(copy.azimuths, az) and np.array_equal(copy.elevations, el)
+        assert g.index_to_azel(g.size - 1) == (az[-1], el[-1])
+
     def test_validation(self):
         with pytest.raises(ValueError):
             DoaGrid(n_azimuth=1)
