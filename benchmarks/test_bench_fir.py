@@ -5,7 +5,8 @@ FFT convolution per mic per stage, filters designed per simulator instance)
 with batched :class:`~repro.dsp.block_fir.FirBank` stages sharing cached
 filter spectra scene-wide, and makes the same stateful stages stream so
 full-physics scenes (surface reflection + distance-varying air absorption)
-render incrementally.  E20 pins both halves on the dense 4-node corridor:
+render incrementally.  E20 pins both halves on the dense 4-node corridor,
+and the whole corridor render on an 8-node one:
 
 1. **offline FIR engine throughput** — the corridor's convolution
    workload (the windowed OLA air blocks and the whole-signal reflection
@@ -40,8 +41,28 @@ render incrementally.  E20 pins both halves on the dense 4-node corridor:
    ``E20_fir_stream_4n`` with the usual latency fields:
 
        --bench-max-p95 E20_fir_stream_4n=32
+       --bench-min-speedup E20_fir_stream_4n=1.0
+
+3. **whole corridor render** — :func:`synthesize_corridor` (one block
+   renderer, all nodes in lockstep blocks, each vehicle's trajectory
+   evaluated once per block) against the per-(node, vehicle)
+   ``RoadAcousticsSimulator`` loop it replaced, on an 8-node direct-path
+   corridor with perfbench's ``corridor_dense`` geometry and 5 s of audio.
+   The recordings must be bit-identical (asserted here, in tier-1); the
+   speedup is a guard, min of 3 alternating timings per side:
+
+       --bench-min-speedup E20_render_corridor_8n=2.0
+
+The wall-clock claims are guards of a bench session, not asserts:
+
+    PYTHONPATH=src python -m pytest -q benchmarks/test_bench_fir.py \
+        --bench-min-speedup E20_fir_offline_4n=3.0 \
+        --bench-max-p95 E20_fir_stream_4n=32 \
+        --bench-min-speedup E20_fir_stream_4n=1.0 \
+        --bench-min-speedup E20_render_corridor_8n=2.0
 """
 
+import math
 import time
 
 import numpy as np
@@ -52,7 +73,8 @@ from repro.acoustics.air import air_absorption_fir, shared_air_filter_bank
 from repro.acoustics.asphalt import asphalt_reflection_fir, reflection_magnitude
 from repro.acoustics.delay_line import render_varying_delay
 from repro.acoustics.environment import Scene
-from repro.acoustics.trajectory import LinearTrajectory
+from repro.acoustics.simulator import RoadAcousticsSimulator
+from repro.acoustics.trajectory import LinearTrajectory, WaypointTrajectory
 from repro.core import PipelineConfig
 from repro.dsp.block_fir import BlockFir
 from repro.dsp.filters import fir_from_magnitude
@@ -294,7 +316,6 @@ def test_e20_offline_fir_bank_speedup(corridor_scene, bench_json):
             ("full synth (context)", synth_ms, float("nan")),
         ],
     )
-    assert speedup > 1.0, "FirBank engine slower than the scalar loop it replaced"
 
 
 def test_e20_incremental_full_physics_stream(corridor_scene, bench_json):
@@ -320,14 +341,10 @@ def test_e20_incremental_full_physics_stream(corridor_scene, bench_json):
     wall_ms = result.fleet_latency.mean_s * 1e3
     realtime_factor = result.fleet_latency.deadline_s / result.fleet_latency.mean_s
 
-    # The live full-physics render must hold the same hop deadline E15 pins
-    # for the direct-path scene, and still beat the recording clock.
+    # Whether the live full-physics render holds the hop deadline E15 pins
+    # for the direct-path scene, and beats the recording clock, is judged
+    # by the session's guards on this row (p95_ms and speedup).
     assert hop.deadline_s == pytest.approx(CONFIG.frame_period_s)
-    assert hop.realtime, (
-        f"full-physics hop p95 {hop.p95_s * 1e3:.2f} ms exceeds the "
-        f"{hop_deadline_ms:.1f} ms hop deadline"
-    )
-    assert realtime_factor > 1.0
     assert len(result.tracks) > 0
 
     bench_json(
@@ -342,4 +359,84 @@ def test_e20_incremental_full_physics_stream(corridor_scene, bench_json):
         f"{DURATION_S:.0f} s, surface + air)",
         ["hop mean ms", "hop p95 ms", "deadline ms", "wall ms", "rt factor"],
         [(hop.mean_s * 1e3, hop.p95_s * 1e3, hop_deadline_ms, wall_ms, realtime_factor)],
+    )
+
+
+# ---------------------------------------------------------------------------
+# Whole corridor render: the lockstep block renderer vs the per-pair loop.
+# ---------------------------------------------------------------------------
+
+RENDER_NODES = 8
+RENDER_SPACING_M = 25.0
+RENDER_S = 5.0
+
+
+def _dense_corridor_scene(seed: int = 1) -> CorridorScene:
+    """perfbench's ``corridor_dense`` geometry, ``RENDER_S`` of audio: 8
+    nodes 25 m apart, two sirens on staggered back-and-forth patrols."""
+    rng = np.random.default_rng(seed)
+    nodes = place_corridor_nodes(RENDER_NODES, RENDER_SPACING_M)
+    half = (RENDER_NODES - 1) / 2 * RENDER_SPACING_M + 10.0
+    vehicles = []
+    for label, kind, lane_y, speed, first_end in (
+        ("siren_wail", "wail", 8.0, 15.0, -1.0),
+        ("siren_yelp", "yelp", 14.0, 12.0, 1.0),
+    ):
+        legs = math.ceil(RENDER_S * speed / (2 * half)) + 1
+        route = [[first_end * half * (-1) ** k, lane_y, 0.8] for k in range(legs + 1)]
+        signal = synthesize_siren(kind, RENDER_S, FS, rng=rng, jitter=0.05)
+        vehicles.append(Vehicle(label, WaypointTrajectory(route, speed), signal))
+    return CorridorScene(vehicles, nodes)
+
+
+def _per_pair_render(scene: CorridorScene, fs: float) -> dict[str, np.ndarray]:
+    """The replaced whole render: one simulator per (node, vehicle) pair,
+    gain-weighted and summed in scene order (direct path only)."""
+    n_samples = max(v.signal.size for v in scene.vehicles)
+    recordings = {}
+    for node in scene.nodes:
+        out = np.zeros((node.array.n_mics, n_samples))
+        for vehicle in scene.vehicles:
+            sub = Scene(vehicle.trajectory, node.array, surface=None, atmosphere=scene.atmosphere)
+            sim = RoadAcousticsSimulator(sub, fs, interpolation="linear", air_absorption=False)
+            sig = np.pad(vehicle.signal, (0, n_samples - vehicle.signal.size))
+            out += vehicle.gain * sim.simulate(sig)
+        recordings[node.node_id] = out
+    return recordings
+
+
+def test_e20_render_corridor_8n(bench_json):
+    scene = _dense_corridor_scene()
+    block_ms, pair_ms = [], []
+    for _ in range(3):  # alternate, so host drift hits both sides alike
+        t0 = time.perf_counter()
+        rendered = synthesize_corridor(scene, FS)
+        block_ms.append((time.perf_counter() - t0) * 1e3)
+        t0 = time.perf_counter()
+        reference = _per_pair_render(scene, FS)
+        pair_ms.append((time.perf_counter() - t0) * 1e3)
+
+    assert rendered.recordings.keys() == reference.keys()
+    for nid, ref in reference.items():
+        assert np.array_equal(rendered.recordings[nid], ref)
+
+    speedup = min(pair_ms) / min(block_ms)
+    n_samples = max(v.signal.size for v in scene.vehicles)
+    bench_json(
+        "E20_render_corridor_8n",
+        min(block_ms),
+        speedup,
+        per_pair_ms=min(pair_ms),
+        n_nodes=RENDER_NODES,
+        n_vehicles=len(scene.vehicles),
+        audio_s=n_samples / FS,
+    )
+    print_table(
+        f"E20 whole corridor render ({RENDER_NODES} nodes x "
+        f"{len(scene.vehicles)} vehicles, {RENDER_S:.0f} s, direct path)",
+        ["path", "wall ms", "speedup"],
+        [
+            ("per-(node, vehicle) simulator", min(pair_ms), 1.0),
+            ("lockstep block renderer", min(block_ms), speedup),
+        ],
     )

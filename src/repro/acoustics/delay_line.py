@@ -36,19 +36,26 @@ __all__ = [
 INTERPOLATORS = ("linear", "lagrange", "sinc")
 
 
-def _gather(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Read ``x`` at integer indices of any shape, zero outside its support."""
-    valid = (idx >= 0) & (idx < x.size)
-    return np.where(valid, x[np.clip(idx, 0, x.size - 1)], 0.0)
+def _gather(xp: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Read a signal at integer indices of any shape, zero outside its support.
+
+    ``xp`` is the signal with one zero sample padded at each end, and
+    ``idx`` indexes ``xp`` (signal index + 1).  Clipping sends every index
+    outside the signal onto a pad, so one ``take`` selects exactly the
+    signal sample or ``0.0``.  Every interpolator below reads its taps
+    through this call, from such a padded ``xp``.
+    """
+    return np.take(xp, idx, mode="clip")
 
 
-def _interp_linear(x: np.ndarray, pos: np.ndarray) -> np.ndarray:
+def _interp_linear(xp: np.ndarray, pos: np.ndarray) -> np.ndarray:
     idx = np.floor(pos).astype(np.int64)
     frac = pos - idx
-    return (1.0 - frac) * _gather(x, idx) + frac * _gather(x, idx + 1)
+    idx += 1
+    return (1.0 - frac) * _gather(xp, idx) + frac * _gather(xp, idx + 1)
 
 
-def _interp_lagrange(x: np.ndarray, pos: np.ndarray, order: int) -> np.ndarray:
+def _interp_lagrange(xp: np.ndarray, pos: np.ndarray, order: int) -> np.ndarray:
     # Evaluate an order-N Lagrange interpolator at each fractional position:
     # the tap weights depend only on the fractional part (closed-form
     # product), and all (position, tap) reads happen in one batched gather.
@@ -62,11 +69,11 @@ def _interp_lagrange(x: np.ndarray, pos: np.ndarray, order: int) -> np.ndarray:
         num = d[..., None] - others
         den = float(np.prod(k - others))
         coeffs[..., k] = np.prod(num, axis=-1) / den
-    taps = _gather(x, base[..., None] + offsets)  # (..., order + 1)
+    taps = _gather(xp, base[..., None] + (offsets + 1))  # (..., order + 1)
     return np.einsum("...t,...t->...", coeffs, taps)
 
 
-def _interp_sinc(x: np.ndarray, pos: np.ndarray, half_width: int) -> np.ndarray:
+def _interp_sinc(xp: np.ndarray, pos: np.ndarray, half_width: int) -> np.ndarray:
     base = np.floor(pos).astype(np.int64)
     frac = pos - base
     out = np.zeros_like(pos)
@@ -76,7 +83,7 @@ def _interp_sinc(x: np.ndarray, pos: np.ndarray, half_width: int) -> np.ndarray:
     for k in range(-half_width + 1, half_width + 1):
         arg = k - frac
         win = np.clip(0.5 + 0.5 * np.cos(np.pi * arg / half_width), 0.0, None)
-        out += np.sinc(arg) * win * _gather(x, base + k)
+        out += np.sinc(arg) * win * _gather(xp, base + (k + 1))
     return out
 
 
@@ -121,15 +128,16 @@ def render_varying_delay(
     if interpolation not in INTERPOLATORS:
         raise ValueError(f"unknown interpolation {interpolation!r}; expected {INTERPOLATORS}")
     pos = np.arange(x.size) - delay_samples
+    xp = np.pad(x, 1)
     if interpolation == "linear":
-        return _interp_linear(x, pos)
+        return _interp_linear(xp, pos)
     if interpolation == "lagrange":
         if order < 1:
             raise ValueError("order must be >= 1")
-        return _interp_lagrange(x, pos, order)
+        return _interp_lagrange(xp, pos, order)
     if sinc_half_width < 2:
         raise ValueError("sinc_half_width must be >= 2")
-    return _interp_sinc(x, pos, sinc_half_width)
+    return _interp_sinc(xp, pos, sinc_half_width)
 
 
 class StreamingDelayReader:
@@ -219,11 +227,14 @@ class StreamingDelayReader:
         if block.ndim != 1:
             raise ValueError("block must be 1-D")
         n = block.size
-        if self._n_fed + n > self._buf.size:
-            grown = np.zeros(max(2 * self._buf.size, self._n_fed + n, 4096))
-            grown[: self._n_fed] = self._buf[: self._n_fed]
+        # The buffer holds the fed signal zero-padded by one sample at each
+        # end (the layout the interpolators read): samples at [1, n_fed + 1),
+        # never-written zeros around them.
+        if self._n_fed + n + 2 > self._buf.size:
+            grown = np.zeros(max(2 * self._buf.size, self._n_fed + n + 2, 4096))
+            grown[1 : self._n_fed + 1] = self._buf[1 : self._n_fed + 1]
             self._buf = grown
-        self._buf[self._n_fed : self._n_fed + n] = block
+        self._buf[self._n_fed + 1 : self._n_fed + n + 1] = block
         self._n_fed += n
 
     def end(self) -> None:
@@ -259,13 +270,13 @@ class StreamingDelayReader:
             # signal): the zero extension is the whole answer.
             self._n_read += m
             return np.zeros(pos.shape)
-        x = self._buf[: self._n_fed]
+        xp = self._buf[: self._n_fed + 2]
         if self.interpolation == "linear":
-            out = _interp_linear(x, pos)
+            out = _interp_linear(xp, pos)
         elif self.interpolation == "lagrange":
-            out = _interp_lagrange(x, pos, self.order)
+            out = _interp_lagrange(xp, pos, self.order)
         else:
-            out = _interp_sinc(x, pos, self.sinc_half_width)
+            out = _interp_sinc(xp, pos, self.sinc_half_width)
         self._n_read += m
         return out
 

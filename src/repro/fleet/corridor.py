@@ -3,10 +3,20 @@
 A deployment of the paper's roadside monitoring system is not one array but
 a *corridor* of array nodes along the road.  This module renders a single
 shared physical scene — several vehicles moving on
-:mod:`repro.acoustics.trajectory` paths — to every node with the existing
-:class:`~repro.acoustics.simulator.RoadAcousticsSimulator`, so all nodes
-hear the same events with mutually consistent geometry (the property the
+:mod:`repro.acoustics.trajectory` paths — to every node, so all nodes hear
+the same events with mutually consistent geometry (the property the
 cross-node fusion in :mod:`repro.fleet.fusion` relies on).
+
+There is one render path, :class:`CorridorBlockRenderer`.  A whole render
+(:func:`synthesize_corridor`) runs it to every node's capture end with all
+nodes advancing through the same cache-sized blocks in lockstep; a live
+feed (``CorridorStream(..., incremental=True)``) pulls it hop by hop.
+Within a block each vehicle's trajectory is evaluated once and shared by
+every node, and source-to-mic distances are summed per axis
+(:func:`_distances`).  Every recording equals, bit for bit, the per-(node,
+vehicle) sum of :class:`~repro.acoustics.simulator.RoadAcousticsSimulator`
+renders — the single-scene API, which
+``tests/test_fleet_corridor_incremental.py`` keeps as the oracle.
 """
 
 from __future__ import annotations
@@ -15,11 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.acoustics.air import Atmosphere, shared_air_filter_bank
+from repro.acoustics.air import Atmosphere, shared_air_filter_bank, speed_of_sound
 from repro.acoustics.asphalt import RoadSurface, asphalt_reflection_fir
 from repro.acoustics.delay_line import StreamingDelayReader
-from repro.acoustics.environment import MicrophoneArray, Scene
-from repro.acoustics.simulator import AirAbsorptionStage, RoadAcousticsSimulator
+from repro.acoustics.environment import MicrophoneArray
+from repro.acoustics.simulator import AirAbsorptionStage
 from repro.acoustics.trajectory import Trajectory
 from repro.dsp.block_fir import BlockFir
 from repro.arrays.topologies import uniform_circular_array
@@ -196,6 +206,12 @@ class CorridorRecording:
         return np.stack([v.trajectory.positions(t) for v in self.scene.vehicles])
 
 
+# Samples per lockstep block of a whole render: every node renders block k
+# before any node starts block k + 1, so the block's trajectory evaluation
+# and source signal reads stay cache-resident across nodes.
+_RENDER_BLOCK = 8192
+
+
 def synthesize_corridor(
     scene: CorridorScene,
     fs: float,
@@ -207,13 +223,18 @@ def synthesize_corridor(
     noise_std: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> CorridorRecording:
-    """Render every vehicle of ``scene`` to every node.
+    """Render every vehicle of ``scene`` to every node, whole.
 
-    Each (node, vehicle) pair runs one :class:`RoadAcousticsSimulator` with
-    the *global* vehicle trajectory and the node's *global* array, so the
-    propagation geometry (delays, Doppler, spreading) is consistent across
-    the whole corridor.  Vehicle signals of unequal length are zero-padded
-    to the longest (a vehicle that falls silent simply stops emitting).
+    Runs one :class:`CorridorBlockRenderer` to every node's capture end,
+    all nodes advancing through the same ``_RENDER_BLOCK``-sample blocks in
+    lockstep, so each block's vehicle positions are evaluated once for the
+    whole corridor.  The propagation geometry (delays, Doppler, spreading)
+    uses the *global* vehicle trajectories and node arrays, so it is
+    consistent across the corridor.  Vehicle signals of unequal length are
+    zero-padded to the longest (a vehicle that falls silent simply stops
+    emitting).  Each recording equals, bit for bit, the scene-order sum of
+    one :class:`~repro.acoustics.simulator.RoadAcousticsSimulator` render
+    per vehicle plus the node's sensor noise, truncated to its capture.
 
     Parameters
     ----------
@@ -221,46 +242,59 @@ def synthesize_corridor(
         Optional per-node truncation ``node_id -> n_samples`` (nodes with
         shorter capture windows); the ragged batch path of
         :meth:`repro.core.batch.BlockPipeline.process_batch` handles the
-        resulting unequal lengths.
+        resulting unequal lengths.  Keys must name nodes of the scene.
     noise_std:
-        Per-mic white sensor-noise standard deviation.
+        Per-mic white sensor-noise standard deviation (non-negative).
+
+    Raises
+    ------
+    ValueError
+        On invalid inputs (before anything renders), or when a trajectory
+        dips to or below the road plane (at the offending block).
     """
-    if fs <= 0:
-        raise ValueError("fs must be positive")
-    n_samples = max(v.signal.size for v in scene.vehicles)
-    gen = rng if rng is not None else np.random.default_rng(0)
-    recordings: dict[str, np.ndarray] = {}
-    for node in scene.nodes:
-        out = np.zeros((node.array.n_mics, n_samples))
-        for vehicle in scene.vehicles:
-            sub = Scene(
-                vehicle.trajectory,
-                node.array,
-                surface=scene.surface,
-                atmosphere=scene.atmosphere,
-            )
-            sim = RoadAcousticsSimulator(
-                sub,
-                fs,
-                interpolation=interpolation,
-                order=order,
-                air_absorption=air_absorption,
-            )
-            sig = vehicle.signal
-            if sig.size < n_samples:
-                sig = np.pad(sig, (0, n_samples - sig.size))
-            out += vehicle.gain * sim.simulate(sig)
-        if noise_std > 0:
-            # One generator across nodes: sensor noise must be independent
-            # per node, or it injects spurious cross-node correlation.
-            out += noise_std * gen.standard_normal(out.shape)
-        stop = n_samples
-        if capture_samples and node.node_id in capture_samples:
-            stop = int(capture_samples[node.node_id])
-            if not 0 < stop <= n_samples:
-                raise ValueError("capture_samples must lie in (0, n_samples]")
-        recordings[node.node_id] = out[:, :stop]
-    return CorridorRecording(fs=float(fs), recordings=recordings, scene=scene)
+    renderer = CorridorBlockRenderer(
+        scene,
+        fs,
+        interpolation=interpolation,
+        order=order,
+        air_absorption=air_absorption,
+        capture_samples=capture_samples,
+        noise_std=noise_std,
+        rng=rng,
+    )
+    recordings = {
+        node.node_id: np.empty(
+            (node.array.n_mics, renderer.capture_samples_of(node.node_id))
+        )
+        for node in scene.nodes
+    }
+    for start in range(0, renderer.n_samples, _RENDER_BLOCK):
+        for node_id, out in recordings.items():
+            if start < out.shape[1]:
+                out[:, start : start + _RENDER_BLOCK] = renderer.render_next(
+                    node_id, _RENDER_BLOCK
+                )
+    return CorridorRecording(fs=renderer.fs, recordings=recordings, scene=scene)
+
+
+def _distances(src: np.ndarray, mics: np.ndarray) -> np.ndarray:
+    """Distances from ``(m, 3)`` source positions to ``(n_mics, 3)`` mics.
+
+    Returns ``(n_mics, m)``, summed per axis as ``(dx*dx + dy*dy) + dz*dz``
+    — the association ``np.linalg.norm(src[None] - mics[:, None], axis=2)``
+    reduces in, so the two agree bit for bit — without materializing the
+    ``(n_mics, m, 3)`` difference.
+    """
+    src = np.ascontiguousarray(src.T)
+    dx = src[0] - mics[:, 0, None]
+    dy = src[1] - mics[:, 1, None]
+    dz = src[2] - mics[:, 2, None]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    dz *= dz
+    dx += dz
+    return np.sqrt(dx, out=dx)
 
 
 class _SampleFifo:
@@ -351,11 +385,10 @@ class _PathChain:
 class _VehiclePaths:
     """Streaming state of one ``(node, vehicle)`` pair under full physics."""
 
-    __slots__ = ("vehicle", "sub", "reader", "direct_chain", "refl_chain", "direct_fifo", "refl_fifo")
+    __slots__ = ("gain", "reader", "direct_chain", "refl_chain", "direct_fifo", "refl_fifo")
 
-    def __init__(self, vehicle, sub, reader, direct_chain, refl_chain):
-        self.vehicle = vehicle
-        self.sub = sub
+    def __init__(self, gain, reader, direct_chain, refl_chain):
+        self.gain = gain
         self.reader = reader
         self.direct_chain = direct_chain
         self.refl_chain = refl_chain
@@ -364,37 +397,47 @@ class _VehiclePaths:
 
 
 class CorridorBlockRenderer:
-    """Render a corridor scene to its nodes in hop-sized slices, on demand.
+    """The corridor render: every node's capture, block by block, on demand.
 
-    :func:`synthesize_corridor` pays the whole render cost up front, which
-    makes a "live" session start late by the full scene duration's worth of
-    simulation.  This renderer produces the **same samples, bit for bit**
-    (asserted in ``tests/test_fleet_corridor_incremental.py``), but one block
-    at a time: each ``(node, vehicle)`` pair holds a
+    This is the one render path.  :func:`synthesize_corridor` runs it to
+    every node's capture end with all nodes in lockstep blocks;
+    :class:`IncrementalCorridorSource` pulls it one hop-sized chunk at a
+    time, so a live session starts without paying the whole-scene render up
+    front.  Each ``(node, vehicle)`` pair holds a
     :class:`~repro.acoustics.delay_line.StreamingDelayReader` whose output
     cursor advances with the node's capture clock, so the k-th requested
-    block costs only that block's delay-line gathers.
+    block costs only that block's delay-line gathers.  Each vehicle's
+    positions are evaluated once per ``_RENDER_BLOCK``-sample block and
+    sliced for every request inside it — every node rendering that block,
+    and every live chunk within it, shares one evaluation (positions are
+    elementwise in ``t``, so a slice is exact).
+
+    Every node's samples equal, bit for bit, the scene-order sum of one
+    :class:`~repro.acoustics.simulator.RoadAcousticsSimulator` render per
+    vehicle — pinned against that oracle, for every interpolator, physics
+    subset, noise, capture truncation and slicing, in
+    ``tests/test_fleet_corridor_incremental.py``.
 
     The full physics set streams.  Surface reflections run through the same
-    stateful :class:`~repro.dsp.block_fir.BlockFir` the offline simulator
-    uses; distance-varying air absorption through the same
+    stateful :class:`~repro.dsp.block_fir.BlockFir` the simulator uses;
+    distance-varying air absorption through the same
     :class:`~repro.acoustics.simulator.AirAbsorptionStage` (whose 50 %
     Hann overlap crossfades air-filter switches at distance-bin crossings).
     Both stages emit a sample only once no future input can change it, so a
     full-physics node lags its raw render cursor by up to one FIR step plus
     one air block — throughput is unchanged, only the first chunk waits.
     Per-path finalized samples are staged in FIFOs and combined (direct +
-    reflected, summed over vehicles in scene order) exactly as the offline
-    path sums whole arrays.
+    reflected, summed over vehicles in scene order) exactly as the
+    simulator's whole arrays are.
 
-    Differences from the offline path, by construction:
+    By construction:
 
     - A trajectory that dips below the road plane (``z <= 0``) raises when
-      the offending block is rendered, not at session start.
-    - Per-node sensor noise (``noise_std > 0``) is still pre-drawn whole at
-      construction — in scene node order, the exact generator call pattern
-      of :func:`synthesize_corridor` — so seeded incremental and offline
-      renders match bit for bit.
+      the offending block is rendered, not at construction.
+    - Per-node sensor noise (``noise_std > 0``) is pre-drawn whole at
+      construction, in scene node order from one generator, so it is
+      independent per node and seeded renders repeat bit for bit however
+      they are sliced.
 
     Blocks per node are strictly sequential (the delay readers carry
     cross-boundary interpolator state); there is no random access.
@@ -414,6 +457,12 @@ class CorridorBlockRenderer:
     ) -> None:
         if fs <= 0:
             raise ValueError("fs must be positive")
+        if noise_std < 0:
+            raise ValueError("noise_std must be non-negative")
+        node_ids = {node.node_id for node in scene.nodes}
+        unknown = sorted(set(capture_samples or ()) - node_ids)
+        if unknown:
+            raise ValueError(f"capture_samples names unknown nodes {unknown}")
         self.scene = scene
         self.fs = float(fs)
         self.min_distance = 0.5  # RoadAcousticsSimulator default
@@ -426,14 +475,6 @@ class CorridorBlockRenderer:
                 if not 0 < stop <= self.n_samples:
                     raise ValueError("capture_samples must lie in (0, n_samples]")
             self._capture[node.node_id] = stop
-        gen = rng if rng is not None else np.random.default_rng(0)
-        self._noise: dict[str, np.ndarray] = {}
-        if noise_std > 0:
-            for node in scene.nodes:
-                self._noise[node.node_id] = noise_std * gen.standard_normal(
-                    (node.array.n_mics, self.n_samples)
-                )
-        self._cursor = {node.node_id: 0 for node in scene.nodes}
         # Full physics (surface reflection and/or air absorption) streams
         # through stateful FIR stages; the default physics subset keeps the
         # lag-free direct path.
@@ -447,32 +488,36 @@ class CorridorBlockRenderer:
         air_bank = (
             shared_air_filter_bank(self.fs, scene.atmosphere) if self._air else None
         )
+        self._c = float(speed_of_sound(scene.atmosphere))
+        gen = rng if rng is not None else np.random.default_rng(0)
+        self._noise: dict[str, np.ndarray] = {}
+        if noise_std > 0:
+            for node in scene.nodes:
+                self._noise[node.node_id] = noise_std * gen.standard_normal(
+                    (node.array.n_mics, self.n_samples)
+                )
+        self._mics = {node.node_id: node.array.positions for node in scene.nodes}
+        self._cursor = {node.node_id: 0 for node in scene.nodes}
+        # Each vehicle's positions over the two most recently evaluated
+        # lockstep blocks, keyed by block index.
+        self._block_pos: dict[int, list[np.ndarray]] = {}
         # One streaming delay reader per (node, vehicle) propagation path.
         # The padded source signal is fed whole (it already exists in
         # memory); what streams is the per-block delay evaluation.
-        self._paths: dict[str, list[tuple[Vehicle, Scene]]] = {}
+        signals = [
+            np.pad(v.signal, (0, self.n_samples - v.signal.size)) for v in scene.vehicles
+        ]
         self._readers: dict[str, list[StreamingDelayReader]] = {}
         self._full: dict[str, list[_VehiclePaths]] = {}
         self._raw: dict[str, int] = {node.node_id: 0 for node in scene.nodes}
         self._out: dict[str, _SampleFifo] = {node.node_id: _SampleFifo() for node in scene.nodes}
         for node in scene.nodes:
-            paths: list[tuple[Vehicle, Scene]] = []
             readers: list[StreamingDelayReader] = []
             full: list[_VehiclePaths] = []
-            for vehicle in scene.vehicles:
-                sub = Scene(
-                    vehicle.trajectory,
-                    node.array,
-                    surface=scene.surface if self._full_physics else None,
-                    atmosphere=scene.atmosphere,
-                )
+            for vehicle, sig in zip(scene.vehicles, signals):
                 reader = StreamingDelayReader(interpolation=interpolation, order=order)
-                sig = vehicle.signal
-                if sig.size < self.n_samples:
-                    sig = np.pad(sig, (0, self.n_samples - sig.size))
                 reader.feed(sig)
                 reader.end()
-                paths.append((vehicle, sub))
                 readers.append(reader)
                 if self._full_physics:
                     direct_chain = (
@@ -483,8 +528,7 @@ class CorridorBlockRenderer:
                         if self._refl_fir is not None
                         else None
                     )
-                    full.append(_VehiclePaths(vehicle, sub, reader, direct_chain, refl_chain))
-            self._paths[node.node_id] = paths
+                    full.append(_VehiclePaths(vehicle.gain, reader, direct_chain, refl_chain))
             self._readers[node.node_id] = readers
             self._full[node.node_id] = full
 
@@ -515,28 +559,55 @@ class CorridorBlockRenderer:
             while fifo.n < need and self._raw[node_id] < self.n_samples:
                 self._advance_raw(node_id)
             out = fifo.pop(need)
-            if node_id in self._noise:
-                out = out + self._noise[node_id][:, start:stop]
-            self._cursor[node_id] = stop
-            return out
-        t = np.arange(start, stop) / self.fs
-        out: np.ndarray | None = None
-        for (vehicle, sub), reader in zip(self._paths[node_id], self._readers[node_id]):
-            src = sub.trajectory.positions(t)
-            if np.any(src[:, 2] <= 0):
-                raise ValueError("trajectory dips to or below the road plane (z <= 0)")
-            mics = sub.array.positions
-            d = np.linalg.norm(src[None, :, :] - mics[:, None, :], axis=2)
-            block = reader.read(d / sub.speed_of_sound * self.fs)
-            term = vehicle.gain * (block / np.maximum(d, self.min_distance))
-            out = term if out is None else out + term
-        assert out is not None  # scene has >= 1 vehicle
+        else:
+            mics = self._mics[node_id]
+            out = np.zeros((mics.shape[0], stop - start))
+            for vehicle, reader, src in zip(
+                self.scene.vehicles, self._readers[node_id], self._positions(start, stop)
+            ):
+                d = _distances(src, mics)
+                block = reader.read(d / self._c * self.fs)
+                out += vehicle.gain * (block / np.maximum(d, self.min_distance))
         if node_id in self._noise:
             out = out + self._noise[node_id][:, start:stop]
         self._cursor[node_id] = stop
         return out
 
-    _RAW_CHUNK = 4096  # raw-time slice per advance; >= the air stage's hop
+    def _positions(self, start: int, stop: int) -> list[np.ndarray]:
+        """Every vehicle's ``(stop - start, 3)`` positions, in scene order.
+
+        A request inside one ``_RENDER_BLOCK``-sample block slices that
+        block's evaluation, made once and kept for the two most recent
+        blocks, so every node rendering the block — also a full-physics
+        node whose raw cursor runs a block ahead — and every live chunk
+        inside it share one trajectory evaluation.  A request spanning a
+        block boundary is evaluated directly.  Raises when a position in
+        ``[start, stop)`` lies on or below the road plane.
+        """
+        k = start // _RENDER_BLOCK
+        if (stop - 1) // _RENDER_BLOCK != k:
+            t = np.arange(start, stop) / self.fs
+            out = [v.trajectory.positions(t) for v in self.scene.vehicles]
+        else:
+            block = self._block_pos.get(k)
+            if block is None:
+                b0 = k * _RENDER_BLOCK
+                t = np.arange(b0, min(b0 + _RENDER_BLOCK, self.n_samples)) / self.fs
+                block = [v.trajectory.positions(t) for v in self.scene.vehicles]
+                if len(self._block_pos) == 2:
+                    del self._block_pos[next(iter(self._block_pos))]
+                self._block_pos[k] = block
+            lo = start - k * _RENDER_BLOCK
+            out = [pos[lo : lo + stop - start] for pos in block]
+        for src in out:
+            if np.any(src[:, 2] <= 0):
+                raise ValueError("trajectory dips to or below the road plane (z <= 0)")
+        return out
+
+    # Raw-time slice per advance; >= the air stage's hop.  A whole render
+    # advances one chunk at a time too: larger slices make the stacked
+    # (direct, image) sinc read's per-tap temporaries outgrow the cache.
+    _RAW_CHUNK = 4096
 
     def _advance_raw(self, node_id: str) -> None:
         """Push one raw-time slice through every path chain of a node.
@@ -544,31 +615,26 @@ class CorridorBlockRenderer:
         Renders delays/spreading for ``_RAW_CHUNK`` samples, feeds each
         path's FIR chain, and moves whatever every chain has finalized into
         the node's output FIFO (combined over paths and vehicles in the
-        offline summation order).
+        simulator's summation order).
         """
         start = self._raw[node_id]
         stop = min(start + self._RAW_CHUNK, self.n_samples)
-        t = np.arange(start, stop) / self.fs
+        mics = self._mics[node_id]
         paths = self._full[node_id]
-        for p in paths:
-            src = p.sub.trajectory.positions(t)
-            if np.any(src[:, 2] <= 0):
-                raise ValueError("trajectory dips to or below the road plane (z <= 0)")
-            mics = p.sub.array.positions
-            d1 = np.linalg.norm(src[None, :, :] - mics[:, None, :], axis=2)
-            c = p.sub.speed_of_sound
+        for p, src in zip(paths, self._positions(start, stop)):
+            d1 = _distances(src, mics)
             if p.refl_chain is not None:
                 img = src.copy()
                 img[:, 2] = -img[:, 2]
-                d2 = np.linalg.norm(img[None, :, :] - mics[:, None, :], axis=2)
+                d2 = _distances(img, mics)
                 # Direct and image path share one reader: a single stacked
                 # gather over (2, n_mics, m) absolute-index delays.
-                block = p.reader.read(np.stack([d1, d2]) / c * self.fs)
+                block = p.reader.read(np.stack([d1, d2]) / self._c * self.fs)
                 raw_dir = block[0] / np.maximum(d1, self.min_distance)
                 raw_ref = block[1] / np.maximum(d2, self.min_distance)
                 p.refl_fifo.push(p.refl_chain.push(raw_ref, d2))
             else:
-                block = p.reader.read(d1 / c * self.fs)
+                block = p.reader.read(d1 / self._c * self.fs)
                 raw_dir = block / np.maximum(d1, self.min_distance)
             if p.direct_chain is not None:
                 p.direct_fifo.push(p.direct_chain.push(raw_dir, d1))
@@ -587,13 +653,12 @@ class CorridorBlockRenderer:
         )
         m = int(m)
         if m > 0:
-            acc: np.ndarray | None = None
+            acc = np.zeros((mics.shape[0], m))
             for p in paths:
                 term = p.direct_fifo.pop(m)
                 if p.refl_fifo is not None:
                     term = term + p.refl_fifo.pop(m)
-                term = p.vehicle.gain * term
-                acc = term if acc is None else acc + term
+                acc += p.gain * term
             self._out[node_id].push(acc)
 
 

@@ -216,22 +216,29 @@ class _ShardRunner:
         """The shard's mutable stream state (crash-recovery checkpoint).
 
         Small by construction — scalar Kalman trackers, refinement window
-        bookkeeping and frame counters, a few hundred bytes — so a pool
-        worker can afford to ship it with every step reply.  The rings are
-        deliberately *not* part of it: their headers live in shared memory
-        owned by the main process and survive a worker crash on their own.
+        bookkeeping, frame counters and each node pipeline's
+        detection-density EMA (which decides cache priming, so a restored
+        shard primes exactly where the original would have), a few hundred
+        bytes — so a pool worker can afford to ship it with every step
+        reply.  The rings are deliberately *not* part of it: their headers
+        live in shared memory owned by the main process and survive a
+        worker crash on their own.
         """
         return {
             "trackers": self.trackers,
             "refine": self.refine,
             "counts": dict(self.counts),
+            "dense_ema": {nid: pipe.pipeline._dense_ema for nid, pipe in self.pipelines.items()},
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output (after a worker respawn)."""
+        """Restore :meth:`state_dict` output (after a worker respawn or a
+        migration)."""
         self.trackers = dict(state["trackers"])
         self.refine = dict(state["refine"])
         self.counts = dict(state["counts"])
+        for nid, ema in state["dense_ema"].items():
+            self.pipelines[nid].pipeline._dense_ema = ema
 
 
 @dataclass(frozen=True)

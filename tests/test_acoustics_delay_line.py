@@ -9,6 +9,7 @@ from repro.acoustics.delay_line import (
     INTERPOLATORS,
     StreamingDelayReader,
     VariableDelayLine,
+    _gather,
     render_varying_delay,
 )
 
@@ -243,3 +244,27 @@ class TestBatchedDelays:
     def test_trailing_axis_must_match(self):
         with pytest.raises(ValueError):
             render_varying_delay(np.ones(10), np.ones((3, 5)))
+
+
+class TestGather:
+    """The padded read every interpolator gathers through."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        x=st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=40),
+        idx=st.lists(
+            st.integers(-3, 45) | st.integers(-10_000, 10_000), min_size=1, max_size=60
+        ),
+    )
+    def test_equals_masked_read(self, x, idx):
+        """Signal index ``i`` reads ``x[i]`` inside the support and exactly
+        ``+0.0`` outside it (far before, just before, just after, far
+        after), for any index shape."""
+        x = np.array(x)
+        idx = np.array(idx, dtype=np.int64)
+        outside = (idx < 0) | (idx >= x.size)
+        want = np.where(outside, 0.0, x[np.clip(idx, 0, x.size - 1)])
+        got = _gather(np.pad(x, 1), idx + 1)
+        assert np.array_equal(got, want)
+        assert not np.signbit(got[outside]).any()
+        assert np.array_equal(_gather(np.pad(x, 1), (idx + 1)[None, :, None]), want[None, :, None])

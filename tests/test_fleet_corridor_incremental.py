@@ -1,13 +1,26 @@
-"""Incremental corridor rendering: hop slices on demand, bit-identical to
-the offline whole-scene render."""
+"""The corridor render against an independent oracle.
+
+:func:`~repro.fleet.corridor.synthesize_corridor` and the hop-sliced
+:class:`~repro.fleet.corridor.CorridorBlockRenderer` are one render path,
+so neither can check the other.  The oracle here is the per-(node, vehicle)
+loop of the single-scene simulator: one
+:meth:`~repro.acoustics.simulator.RoadAcousticsSimulator.simulate` per node
+and vehicle, a gain-weighted sum in scene order, sensor noise drawn from one
+generator in node order, then capture truncation.  Every recording and
+every sliced pull must equal it bit for bit.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.acoustics import RoadAcousticsSimulator, Scene
 from repro.acoustics.trajectory import LinearTrajectory
 from repro.core import PipelineConfig
 from repro.fleet import (
     CorridorBlockRenderer,
+    CorridorRecording,
     CorridorScene,
     CorridorStream,
     FleetScheduler,
@@ -16,11 +29,58 @@ from repro.fleet import (
     place_corridor_nodes,
     synthesize_corridor,
 )
+from repro.fleet.corridor import _distances
 
 FS = 8000.0
 
+PHYSICS = [(None, False), ("dense_asphalt", False), (None, True), ("dense_asphalt", True)]
 
-def make_scene(n_nodes=3, n_samples=8000, two_vehicles=True, seed=7):
+
+def oracle_corridor(
+    scene,
+    fs,
+    *,
+    interpolation="linear",
+    order=3,
+    air_absorption=False,
+    capture_samples=None,
+    noise_std=0.0,
+    rng=None,
+):
+    """The corridor render as one simulator per (node, vehicle) pair."""
+    n_samples = max(v.signal.size for v in scene.vehicles)
+    gen = rng if rng is not None else np.random.default_rng(0)
+    recordings = {}
+    for node in scene.nodes:
+        out = np.zeros((node.array.n_mics, n_samples))
+        for vehicle in scene.vehicles:
+            sub = Scene(
+                vehicle.trajectory,
+                node.array,
+                surface=scene.surface,
+                atmosphere=scene.atmosphere,
+            )
+            sim = RoadAcousticsSimulator(
+                sub,
+                fs,
+                interpolation=interpolation,
+                order=order,
+                air_absorption=air_absorption,
+            )
+            sig = vehicle.signal
+            if sig.size < n_samples:
+                sig = np.pad(sig, (0, n_samples - sig.size))
+            out += vehicle.gain * sim.simulate(sig)
+        if noise_std > 0:
+            out += noise_std * gen.standard_normal(out.shape)
+        stop = n_samples
+        if capture_samples and node.node_id in capture_samples:
+            stop = int(capture_samples[node.node_id])
+        recordings[node.node_id] = out[:, :stop]
+    return CorridorRecording(fs=float(fs), recordings=recordings, scene=scene)
+
+
+def make_scene(n_nodes=3, n_samples=8000, two_vehicles=True, seed=7, surface=None):
     rng = np.random.default_rng(seed)
     sig1 = np.sin(2 * np.pi * 700 * np.arange(n_samples) / FS) * 0.5
     vehicles = [
@@ -39,35 +99,153 @@ def make_scene(n_nodes=3, n_samples=8000, two_vehicles=True, seed=7):
                 gain=0.7,
             )
         )
-    return CorridorScene(vehicles, place_corridor_nodes(n_nodes, 25.0))
+    return CorridorScene(vehicles, place_corridor_nodes(n_nodes, 25.0), surface=surface)
+
+
+def underground_scene():
+    """One vehicle below the road plane for its whole path."""
+    return CorridorScene(
+        [
+            Vehicle(
+                "siren_wail",
+                LinearTrajectory((-10.0, 5.0, -1.0), (10.0, 5.0, -1.0), speed=20.0),
+                np.ones(4000),
+            )
+        ],
+        place_corridor_nodes(2, 25.0),
+    )
+
+
+def pull_all(rend, nid, sizes):
+    """Concatenate one node's whole capture, pulled in cycling ``sizes``."""
+    blocks, k = [], 0
+    while rend.cursor(nid) < rend.capture_samples_of(nid):
+        blocks.append(rend.render_next(nid, sizes[k % len(sizes)]))
+        k += 1
+    return np.concatenate(blocks, axis=1)
+
+
+def assert_recordings_equal(got, ref):
+    assert got.recordings.keys() == ref.recordings.keys()
+    for nid, want in ref.recordings.items():
+        assert got.recordings[nid].shape == want.shape
+        assert np.array_equal(got.recordings[nid], want)
+
+
+class TestWholeRenderMatchesOracle:
+    @pytest.mark.parametrize("surface,air", PHYSICS)
+    @pytest.mark.parametrize("interp", ["linear", "lagrange", "sinc"])
+    def test_every_interpolator_and_physics_subset(self, interp, surface, air):
+        """Unequal signal lengths and gains, every interpolator, with no
+        surface, a surface, air absorption and both."""
+        scene = make_scene(n_nodes=2, n_samples=6000, surface=surface)
+        kw = dict(interpolation=interp, air_absorption=air)
+        assert_recordings_equal(
+            synthesize_corridor(scene, FS, **kw), oracle_corridor(scene, FS, **kw)
+        )
+
+    @pytest.mark.parametrize("surface,air", [(None, False), ("dense_asphalt", True)])
+    def test_noise_with_truncated_captures(self, surface, air):
+        scene = make_scene(surface=surface)
+        kw = dict(
+            air_absorption=air,
+            noise_std=0.01,
+            capture_samples={"node0": 7999, "node2": 3000},
+        )
+        got = synthesize_corridor(scene, FS, rng=np.random.default_rng(42), **kw)
+        ref = oracle_corridor(scene, FS, rng=np.random.default_rng(42), **kw)
+        assert got.recordings["node2"].shape == (4, 3000)
+        assert_recordings_equal(got, ref)
+
+    def test_longer_than_one_lockstep_block(self):
+        """Several lockstep blocks, a short last one, and a capture that
+        ends inside a block."""
+        scene = make_scene(n_nodes=2, n_samples=20_000)
+        kw = dict(capture_samples={"node1": 9000})
+        assert_recordings_equal(
+            synthesize_corridor(scene, FS, **kw), oracle_corridor(scene, FS, **kw)
+        )
+
+
+class TestIncrementalPullsMatchOracle:
+    @pytest.mark.parametrize("surface,air", [(None, False), ("dense_asphalt", True)])
+    @pytest.mark.parametrize("pull", [1, 255, 256, 4097, 9000])
+    def test_lockstep_pulls(self, pull, surface, air):
+        """Nodes pulled round-robin, as a live session pulls them, in
+        chunks of ``pull`` samples (9000 is longer than any capture)."""
+        scene = make_scene(n_nodes=2, n_samples=4500, surface=surface)
+        kw = dict(
+            air_absorption=air,
+            noise_std=0.01,
+            capture_samples={"node1": 4200},
+        )
+        ref = oracle_corridor(scene, FS, rng=np.random.default_rng(3), **kw)
+        rend = CorridorBlockRenderer(scene, FS, rng=np.random.default_rng(3), **kw)
+        got = {nid: [] for nid in ref.recordings}
+        live = list(got)
+        while live:
+            for nid in list(live):
+                got[nid].append(rend.render_next(nid, pull))
+                if rend.cursor(nid) == rend.capture_samples_of(nid):
+                    live.remove(nid)
+        for nid, want in ref.recordings.items():
+            assert np.array_equal(np.concatenate(got[nid], axis=1), want)
+
+
+_COORD = st.floats(-3.0, 3.0, allow_nan=False)
+_UNIT = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+class TestDistanceHelper:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        mics=st.lists(st.tuples(_COORD, _COORD, st.floats(0.1, 3.0)), min_size=1, max_size=6),
+        sources=st.lists(
+            st.tuples(
+                st.integers(0, 5),
+                st.sampled_from([0.0, 1e-3, 0.5, 3.0, 80.0, 5e3]),
+                st.tuples(_UNIT, _UNIT, _UNIT),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        on_mic=st.integers(0, 39),
+    )
+    def test_bit_identical_to_linalg_norm(self, mics, sources, on_mic):
+        """Random geometry — sources near and far from a mic, and one
+        exactly on a mic: the per-axis sum equals
+        ``np.linalg.norm(..., axis=2)`` bit for bit."""
+        mics = np.array(mics)
+        src = np.array(
+            [mics[k % len(mics)] + scale * np.array(offset) for k, scale, offset in sources]
+        )
+        src[on_mic % len(src)] = mics[on_mic % len(mics)]
+        ref = np.linalg.norm(src[None, :, :] - mics[:, None, :], axis=2)
+        got = _distances(src, mics)
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
+        assert (got == 0.0).any()
 
 
 class TestCorridorBlockRenderer:
     @pytest.mark.parametrize("interp", ["linear", "lagrange"])
     def test_bit_identical_to_offline_render(self, interp):
         scene = make_scene()
-        offline = synthesize_corridor(scene, FS, interpolation=interp)
+        offline = oracle_corridor(scene, FS, interpolation=interp)
         rend = CorridorBlockRenderer(scene, FS, interpolation=interp)
         for nid, ref in offline.recordings.items():
-            blocks = []
-            while rend.cursor(nid) < rend.capture_samples_of(nid):
-                blocks.append(rend.render_next(nid, 256))
-            assert np.array_equal(np.concatenate(blocks, axis=1), ref)
+            assert np.array_equal(pull_all(rend, nid, [256]), ref)
 
     def test_noise_and_truncation_match_offline(self):
         scene = make_scene()
         kw = dict(noise_std=0.01, capture_samples={"node2": 6500})
-        offline = synthesize_corridor(scene, FS, rng=np.random.default_rng(42), **kw)
+        offline = oracle_corridor(scene, FS, rng=np.random.default_rng(42), **kw)
         rend = CorridorBlockRenderer(scene, FS, rng=np.random.default_rng(42), **kw)
         # Ragged block sizes must not matter: any slicing concatenates to
         # the same samples.
         sizes = [1, 7, 250, 256, 2048, 10_000]
         for nid, ref in offline.recordings.items():
-            blocks, k = [], 0
-            while rend.cursor(nid) < rend.capture_samples_of(nid):
-                blocks.append(rend.render_next(nid, sizes[k % len(sizes)]))
-                k += 1
-            got = np.concatenate(blocks, axis=1)
+            got = pull_all(rend, nid, sizes)
             assert got.shape == ref.shape
             assert np.array_equal(got, ref)
 
@@ -87,15 +265,11 @@ class TestCorridorBlockRenderer:
         stateful FIR stages run whole-signal offline and sliced here."""
         scene = make_scene(n_nodes=2, n_samples=10_000)
         scene.surface = "dense_asphalt"
-        offline = synthesize_corridor(scene, FS, interpolation=interp, air_absorption=True)
+        offline = oracle_corridor(scene, FS, interpolation=interp, air_absorption=True)
         rend = CorridorBlockRenderer(scene, FS, interpolation=interp, air_absorption=True)
         sizes = [256, 1, 2048, 709, 256]
         for nid, ref in offline.recordings.items():
-            blocks, k = [], 0
-            while rend.cursor(nid) < rend.capture_samples_of(nid):
-                blocks.append(rend.render_next(nid, sizes[k % len(sizes)]))
-                k += 1
-            got = np.concatenate(blocks, axis=1)
+            got = pull_all(rend, nid, sizes)
             assert got.shape == ref.shape
             assert np.array_equal(got, ref)
 
@@ -107,13 +281,10 @@ class TestCorridorBlockRenderer:
         scene = make_scene(n_nodes=2, two_vehicles=False)
         scene.surface = surface
         kw = dict(air_absorption=air, noise_std=0.01)
-        offline = synthesize_corridor(scene, FS, rng=np.random.default_rng(9), **kw)
+        offline = oracle_corridor(scene, FS, rng=np.random.default_rng(9), **kw)
         rend = CorridorBlockRenderer(scene, FS, rng=np.random.default_rng(9), **kw)
         for nid, ref in offline.recordings.items():
-            blocks = []
-            while rend.cursor(nid) < rend.capture_samples_of(nid):
-                blocks.append(rend.render_next(nid, 256))
-            assert np.array_equal(np.concatenate(blocks, axis=1), ref)
+            assert np.array_equal(pull_all(rend, nid, [256]), ref)
 
     def test_full_physics_session_tracks_identical(self):
         """A live session over the full-physics incremental render fuses the
@@ -152,6 +323,21 @@ class TestCorridorBlockRenderer:
         with pytest.raises(ValueError, match="capture_samples"):
             CorridorBlockRenderer(scene, FS, capture_samples={"node0": 0})
 
+    @pytest.mark.parametrize("render", [CorridorBlockRenderer, synthesize_corridor])
+    def test_unknown_capture_node_rejected_before_rendering(self, render):
+        """A mistyped node id must not silently render the full window.
+        The scene sits below the road plane from t = 0, so any render
+        would raise ``z <= 0`` instead."""
+        with pytest.raises(ValueError, match="unknown nodes.*'node9'"):
+            render(underground_scene(), FS, capture_samples={"node0": 100, "node9": 100})
+
+    @pytest.mark.parametrize("render", [CorridorBlockRenderer, synthesize_corridor])
+    def test_negative_noise_rejected_before_rendering(self, render):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="noise_std"):
+            render(underground_scene(), FS, noise_std=-0.01, rng=rng)
+        assert rng.random() == np.random.default_rng(0).random()  # no draws
+
     def test_below_road_plane_raises_at_offending_block(self):
         scene = CorridorScene(
             [
@@ -169,6 +355,9 @@ class TestCorridorBlockRenderer:
         with pytest.raises(ValueError, match="z <= 0"):
             while True:
                 rend.render_next("node0", 256)
+        # A whole render raises the same error.
+        with pytest.raises(ValueError, match="z <= 0"):
+            synthesize_corridor(scene, FS)
 
 
 class TestIncrementalCorridorStream:

@@ -21,6 +21,8 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.acoustics.trajectory import LinearTrajectory
 from repro.core import OverrunPolicy, PipelineConfig
@@ -36,6 +38,8 @@ from repro.fleet import (
     place_corridor_nodes,
     synthesize_corridor,
 )
+from repro.nn import Module
+from repro.sed.events import EVENT_CLASSES
 from repro.signals import synthesize_siren
 from repro.stream import (
     NodeIngest,
@@ -734,3 +738,85 @@ class TestMultiWorker:
             result = session.finalize()
         assert_frame_streams_equal(offline.node_results, result.node_results)
         assert_tracks_identical(offline_tracks, result.tracks)
+
+
+# --------------------------------------------------------------------------
+# Checkpoints carry priming state across migration and crash recovery
+# --------------------------------------------------------------------------
+
+
+class FeatureDetector(Module):
+    """Fires ``siren_wail`` on every hop with a confidence that depends on
+    the features, so a hop whose detection spectra were derived through
+    cache priming reports a (slightly) different confidence."""
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        out = np.zeros((x.shape[0], len(EVENT_CLASSES)))
+        out[:, EVENT_CLASSES.index("siren_wail")] = 3.0 + np.tanh(x[:, 0])
+        return out
+
+
+@pytest.fixture(scope="module")
+def priming_scene():
+    rng = np.random.default_rng(11)
+    vehicles = [
+        Vehicle(
+            "siren_wail",
+            LinearTrajectory([-40.0, 8.0, 0.8], [40.0, 8.0, 0.8], 15.0),
+            synthesize_siren("wail", 8.0, FS, rng=rng),
+        )
+    ]
+    nodes = place_corridor_nodes(4, 18.0)
+    return nodes, synthesize_corridor(CorridorScene(vehicles, nodes), FS)
+
+
+def priming_session(scene, workers):
+    nodes, recording = scene
+    sched = FleetScheduler(nodes, config(), detector=FeatureDetector(), n_shards=2)
+    sources = CorridorStream(recording, chunk_samples=256).sources()
+    return ParallelFleetStream(sched, sources, hop_batch=8, workers=workers)
+
+
+@pytest.fixture(scope="module")
+def priming_reference(priming_scene):
+    with priming_session(priming_scene, workers=0) as session:
+        return session.run()
+
+
+@needs_processes
+@pytest.mark.parallel
+class TestCheckpointRestoresPriming:
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(
+        migrate_at=st.integers(1, 30),
+        migrate_key=st.integers(0, 1),
+        kill_at=st.integers(1, 30),
+        kill_key=st.integers(0, 1),
+    )
+    def test_migration_and_recovery_keep_every_frame_result(
+        self, priming_scene, priming_reference, migrate_at, migrate_key, kill_at, kill_key
+    ):
+        """Migrate a shard at one step, SIGKILL a worker and recover at
+        another: a restored shard must prime exactly as it would have,
+        so every FrameResult equals the in-process session's."""
+        with priming_session(priming_scene, workers=2) as session:
+            pool, step = session._pool, 0
+            while not session.done:
+                if step == migrate_at:
+                    owner = pool._assign[("fleet", migrate_key)]
+                    pool.migrate("fleet", migrate_key, to=1 - owner)
+                if step == kill_at:
+                    victim = pool._procs[pool._assign[("fleet", kill_key)]]
+                    os.kill(victim.pid, signal.SIGKILL)
+                    victim.join(timeout=5.0)
+                    session.step_begin()
+                    with pytest.raises(WorkerCrashed):
+                        session.step_end()
+                    assert pool.recover() == 1
+                    session.step_end()
+                else:
+                    session.step()
+                step += 1
+            result = session.finalize()
+        assert step > max(migrate_at, kill_at)
+        assert_frame_streams_equal(priming_reference.node_results, result.node_results)
