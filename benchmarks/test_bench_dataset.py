@@ -62,14 +62,16 @@ def test_e2_generation_throughput(benchmark):
     assert clip.waveform.size == int(CFG.duration * CFG.fs)
 
 
-def test_e2_batched_feature_extraction(dataset):
+def test_e2_batched_feature_extraction(dataset, bench_json):
     """The training front-end runs as one batched STFT pass over the set.
 
     ``dataset_features`` must match the per-clip front-end exactly.  At 1 s
     clips the per-clip path is already internally vectorized (its frames are
     batched), so cross-clip batching is memory-bandwidth-bound here — the
-    assertion is numerical equivalence plus no regression; the throughput
-    wins of the block engine are asserted in E12.
+    tier-1 assertion is numerical equivalence; "no regression" (batched at
+    most 1.35x the loop's wall) is a guard of the bench session on the
+    ``E2_features_batched_60x1s`` row (see README.md), and the throughput
+    wins of the block engine are E12's.
     """
     import time
 
@@ -99,4 +101,4 @@ def test_e2_batched_feature_extraction(dataset):
             ("batched", t_batch * 1e3, t_loop / t_batch),
         ],
     )
-    assert t_batch < 1.35 * t_loop
+    bench_json("E2_features_batched_60x1s", t_batch * 1e3, t_loop / t_batch, loop_ms=t_loop * 1e3)

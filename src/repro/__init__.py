@@ -25,7 +25,8 @@ ssl
 arrays
     Microphone-array topologies and assessment.
 hw
-    Operator IR, roofline/cost models, CGRA fabric + mapper, co-design DSE.
+    Operator IR, roofline/cost models, CGRA fabric + mapper, co-design DSE
+    (design-time only: no runtime package imports it).
 core
     The end-to-end streaming pipeline with drive/park modes.
 fleet

@@ -22,6 +22,8 @@ Three implementations are provided:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.dsp.filters import lagrange_fractional_delay
@@ -59,16 +61,20 @@ def _interp_lagrange(xp: np.ndarray, pos: np.ndarray, order: int) -> np.ndarray:
     # Evaluate an order-N Lagrange interpolator at each fractional position:
     # the tap weights depend only on the fractional part (closed-form
     # product), and all (position, tap) reads happen in one batched gather.
+    # Each weight's numerator is a running elementwise product over the
+    # other taps, left to right: the order a product reduction multiplies
+    # in, so the weights match ``np.prod`` bit for bit without reducing.
     base = np.floor(pos).astype(np.int64) - (order - 1) // 2
     frac = pos - np.floor(pos)
     offsets = np.arange(order + 1)
     d = frac + (order - 1) // 2
-    coeffs = np.ones((*pos.shape, order + 1))
+    coeffs = np.empty((*pos.shape, order + 1))
     for k in range(order + 1):
-        others = offsets[offsets != k]
-        num = d[..., None] - others
-        den = float(np.prod(k - others))
-        coeffs[..., k] = np.prod(num, axis=-1) / den
+        others = [j for j in range(order + 1) if j != k]
+        num = d - others[0]
+        for j in others[1:]:
+            num *= d - j
+        coeffs[..., k] = num / float(math.prod(k - j for j in others))
     taps = _gather(xp, base[..., None] + (offsets + 1))  # (..., order + 1)
     return np.einsum("...t,...t->...", coeffs, taps)
 
@@ -171,7 +177,11 @@ class StreamingDelayReader:
     The fed signal is retained in full (delays may look arbitrarily far
     back), so memory matches the offline path's — the win of streaming is
     *latency*: each hop's render cost is paid when that hop is needed, not
-    all up front at session start.
+    all up front at session start.  :meth:`end` freezes that buffer (marks
+    it read-only), so many readers can share it: a corridor render holds one
+    padded buffer per vehicle, and every node's reader of that vehicle
+    reads it through its own output cursor (:meth:`_share`).  A reader over
+    a shared buffer is ended, so it refuses :meth:`feed`.
     """
 
     def __init__(
@@ -239,8 +249,26 @@ class StreamingDelayReader:
 
     def end(self) -> None:
         """Declare the source exhausted: further reads zero-extend past it,
-        exactly as the offline render treats samples outside the signal."""
+        exactly as the offline render treats samples outside the signal.
+        The padded buffer is frozen read-only from here on."""
         self._ended = True
+        self._buf = self._buf[: self._n_fed + 2]
+        self._buf.flags.writeable = False
+
+    def _share(self) -> StreamingDelayReader:
+        """A reader over this ended reader's frozen buffer (shared, not
+        copied), with its own output cursor at 0."""
+        if not self._ended:
+            raise RuntimeError("only an ended reader's buffer can be shared")
+        other = StreamingDelayReader(
+            interpolation=self.interpolation,
+            order=self.order,
+            sinc_half_width=self.sinc_half_width,
+        )
+        other._buf = self._buf
+        other._n_fed = self._n_fed
+        other._ended = True
+        return other
 
     def read(self, delay_samples: np.ndarray) -> np.ndarray:
         """Render the next block of output samples.

@@ -5,21 +5,25 @@ trigger-based low-power parking mode".  Drive mode runs the whole pipeline
 every hop.  Park mode runs only a cheap band-energy trigger; the full
 pipeline wakes up for ``wake_frames`` hops after a trigger.  The energy
 model combines the device cost model's per-frame figures with the measured
-duty cycle — the E9 experiment.
+duty cycle — the E9 experiment.  The cost models live in the design-time
+layer :mod:`repro.hw`, which :meth:`EnergyTrigger.to_ir` and
+:func:`mode_energy_report` import when first called.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import AcousticPerceptionPipeline, FrameResult
 from repro.dsp.stft import get_window
-from repro.hw.cost_model import estimate_cost
-from repro.hw.devices import DeviceModel
-from repro.hw.ir import IRGraph, dsp_op
+
+if TYPE_CHECKING:
+    from repro.hw.devices import DeviceModel
+    from repro.hw.ir import IRGraph
 
 __all__ = ["EnergyTrigger", "ParkModeController", "ModeEnergyReport", "mode_energy_report"]
 
@@ -81,7 +85,12 @@ class EnergyTrigger:
         return triggered
 
     def to_ir(self, *, name: str = "trigger") -> IRGraph:
-        """Operator IR of one trigger tick (for the energy model)."""
+        """Operator IR of one trigger tick (for the energy model).
+
+        Imports :mod:`repro.hw` on first call.
+        """
+        from repro.hw.ir import IRGraph, dsp_op
+
         n_freq = self.frame_length // 2 + 1
         ir = IRGraph(name)
         fft_flops = 5.0 * self.frame_length * np.log2(self.frame_length)
@@ -190,7 +199,13 @@ def mode_energy_report(
     *,
     duty_cycle: float,
 ) -> ModeEnergyReport:
-    """Average-power comparison of the two modes for a measured duty cycle."""
+    """Average-power comparison of the two modes for a measured duty cycle.
+
+    Costs both modes with :func:`repro.hw.cost_model.estimate_cost`; the
+    first call imports :mod:`repro.hw`, which the runtime never loads.
+    """
+    from repro.hw.cost_model import estimate_cost
+
     if not 0.0 <= duty_cycle <= 1.0:
         raise ValueError("duty_cycle must lie in [0, 1]")
     cfg = pipeline.config

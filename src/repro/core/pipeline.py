@@ -5,19 +5,20 @@ pipeline (i) extracts a log-mel feature from the reference microphone,
 (ii) classifies the frame with a compact detector, and (iii) when an
 emergency class fires, localizes it with SRP-PHAT and updates the DOA
 tracker.  The same object lowers itself to the operator IR so the device
-cost models can predict per-frame latency on embedded targets (bench E6).
+cost models can predict per-frame latency on embedded targets (bench E6);
+that design-time layer (:mod:`repro.hw`) is imported by :meth:`to_ir`
+only, so a running pipeline never loads it.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from repro.core.config import PipelineConfig
 from repro.dsp.stft import get_window
 from repro.features.mel import mel_filterbank
-from repro.hw.ir import IRGraph, dsp_op, lower_module
 from repro.nn.losses import softmax
 from repro.nn.module import Module
 from repro.sed.events import EVENT_CLASSES, class_name
@@ -27,6 +28,9 @@ from repro.ssl.refine import RefineConfig, RefineState
 from repro.ssl.srp import SrpPhat, mic_pairs
 from repro.ssl.srp_fast import FastSrpPhat
 from repro.ssl.tracking import KalmanDoaTracker
+
+if TYPE_CHECKING:
+    from repro.hw.ir import IRGraph
 
 __all__ = ["FrameResult", "AcousticPerceptionPipeline"]
 
@@ -247,8 +251,11 @@ class AcousticPerceptionPipeline:
 
         Covers windowing, the reference-channel FFT + mel + detector, the
         per-pair cross-spectra and the SRP steering/interpolation stage of
-        the configured localizer variant.
+        the configured localizer variant.  The first call imports
+        :mod:`repro.hw` (and networkx); a running pipeline never does.
         """
+        from repro.hw.ir import IRGraph, dsp_op, lower_module
+
         cfg = self.config
         n_mics = self.positions.shape[0]
         n_pairs = len(mic_pairs(n_mics))

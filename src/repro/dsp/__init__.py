@@ -1,4 +1,8 @@
-"""Shared DSP substrate: framing, STFT, FIR design, levels, resampling."""
+"""Shared DSP substrate: framing, STFT, FIR design, levels, resampling.
+
+Importing the package loads numpy and ``scipy.fft`` only: :func:`resample`
+imports ``scipy.signal`` on its first call.
+"""
 
 from repro.dsp.block_fir import BlockFir, FirBank
 from repro.dsp.filters import (

@@ -1,11 +1,15 @@
-"""Sample-rate conversion utilities (polyphase, via scipy)."""
+"""Sample-rate conversion utilities (polyphase, via scipy).
+
+``scipy.signal`` (and the stats, interpolate and optimize stack it loads)
+is imported on the first call of :func:`resample`, not with the module, so
+the runtime that only re-exports the name never pays for it.
+"""
 
 from __future__ import annotations
 
 from math import gcd
 
 import numpy as np
-from scipy.signal import resample_poly
 
 __all__ = ["resample", "time_axis"]
 
@@ -21,6 +25,8 @@ def resample(x: np.ndarray, fs_in: float, fs_out: float) -> np.ndarray:
     fi, fo = int(round(fs_in)), int(round(fs_out))
     if fi == fo:
         return np.asarray(x, dtype=np.float64).copy()
+    from scipy.signal import resample_poly
+
     g = gcd(fi, fo)
     return resample_poly(np.asarray(x, dtype=np.float64), fo // g, fi // g)
 

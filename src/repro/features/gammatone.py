@@ -4,13 +4,12 @@ Gammatonegrams are the feature the Marchegiani & Newman siren detector uses
 ("Listening for Sirens") and one of the representations the paper's survey
 lists.  We implement the 4th-order gammatone bank with the Glasberg & Moore
 ERB scale, realized as cascaded 2nd-order IIR sections (Slaney's design) via
-scipy's ``lfilter``.
+scipy's ``lfilter``, imported when a gammatonegram is first computed.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import lfilter
 
 from repro.dsp.stft import db, frame_signals
 
@@ -114,6 +113,8 @@ def gammatonegram_batch(
     the frame energies come from one strided framing view instead of a
     Python loop per frame.
     """
+    from scipy.signal import lfilter
+
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[-1] == 0:
         raise ValueError("x must be (n_clips, n_samples)")

@@ -278,14 +278,15 @@ def synthesize_corridor(
 
 
 def _distances(src: np.ndarray, mics: np.ndarray) -> np.ndarray:
-    """Distances from ``(m, 3)`` source positions to ``(n_mics, 3)`` mics.
+    """Distances from ``(3, m)`` source positions to ``(n_mics, 3)`` mics.
 
-    Returns ``(n_mics, m)``, summed per axis as ``(dx*dx + dy*dy) + dz*dz``
-    — the association ``np.linalg.norm(src[None] - mics[:, None], axis=2)``
-    reduces in, so the two agree bit for bit — without materializing the
+    ``src`` holds one row per axis (the layout :meth:`CorridorBlockRenderer._positions`
+    keeps).  Returns ``(n_mics, m)``, summed per axis as
+    ``(dx*dx + dy*dy) + dz*dz`` — the association
+    ``np.linalg.norm(src.T[None] - mics[:, None], axis=2)`` reduces in, so
+    the two agree bit for bit — without materializing the
     ``(n_mics, m, 3)`` difference.
     """
-    src = np.ascontiguousarray(src.T)
     dx = src[0] - mics[:, 0, None]
     dy = src[1] - mics[:, 1, None]
     dz = src[2] - mics[:, 2, None]
@@ -406,11 +407,14 @@ class CorridorBlockRenderer:
     front.  Each ``(node, vehicle)`` pair holds a
     :class:`~repro.acoustics.delay_line.StreamingDelayReader` whose output
     cursor advances with the node's capture clock, so the k-th requested
-    block costs only that block's delay-line gathers.  Each vehicle's
-    positions are evaluated once per ``_RENDER_BLOCK``-sample block and
-    sliced for every request inside it — every node rendering that block,
-    and every live chunk within it, shares one evaluation (positions are
-    elementwise in ``t``, so a slice is exact).
+    block costs only that block's delay-line gathers.  Every node's reader
+    of one vehicle reads the same buffer: the vehicle's signal, padded by
+    one zero sample at each end, built once and frozen read-only, so the
+    render holds one copy per vehicle, not one per (node, vehicle).  Each
+    vehicle's positions are evaluated once per ``_RENDER_BLOCK``-sample
+    block and sliced for every request inside it — every node rendering
+    that block, and every live chunk within it, shares one evaluation
+    (positions are elementwise in ``t``, so a slice is exact).
 
     Every node's samples equal, bit for bit, the scene-order sum of one
     :class:`~repro.acoustics.simulator.RoadAcousticsSimulator` render per
@@ -502,11 +506,17 @@ class CorridorBlockRenderer:
         # lockstep blocks, keyed by block index.
         self._block_pos: dict[int, list[np.ndarray]] = {}
         # One streaming delay reader per (node, vehicle) propagation path.
-        # The padded source signal is fed whole (it already exists in
-        # memory); what streams is the per-block delay evaluation.
-        signals = [
-            np.pad(v.signal, (0, self.n_samples - v.signal.size)) for v in scene.vehicles
-        ]
+        # Each vehicle's signal is fed whole (it already exists in memory)
+        # into one ended reader, whose frozen padded buffer every node's
+        # reader shares with its own output cursor; what streams is the
+        # per-block delay evaluation.  A signal shorter than the scene reads
+        # as zeros past its end, exactly as if padded to ``n_samples``.
+        vehicle_readers = []
+        for v in scene.vehicles:
+            reader = StreamingDelayReader(interpolation=interpolation, order=order)
+            reader.feed(v.signal)
+            reader.end()
+            vehicle_readers.append(reader)
         self._readers: dict[str, list[StreamingDelayReader]] = {}
         self._full: dict[str, list[_VehiclePaths]] = {}
         self._raw: dict[str, int] = {node.node_id: 0 for node in scene.nodes}
@@ -514,10 +524,8 @@ class CorridorBlockRenderer:
         for node in scene.nodes:
             readers: list[StreamingDelayReader] = []
             full: list[_VehiclePaths] = []
-            for vehicle, sig in zip(scene.vehicles, signals):
-                reader = StreamingDelayReader(interpolation=interpolation, order=order)
-                reader.feed(sig)
-                reader.end()
+            for vehicle, shared in zip(scene.vehicles, vehicle_readers):
+                reader = shared._share()
                 readers.append(reader)
                 if self._full_physics:
                     direct_chain = (
@@ -574,35 +582,41 @@ class CorridorBlockRenderer:
         return out
 
     def _positions(self, start: int, stop: int) -> list[np.ndarray]:
-        """Every vehicle's ``(stop - start, 3)`` positions, in scene order.
+        """Every vehicle's ``(3, stop - start)`` positions, in scene order.
 
+        One contiguous row per axis, the layout :func:`_distances` reads.
         A request inside one ``_RENDER_BLOCK``-sample block slices that
-        block's evaluation, made once and kept for the two most recent
-        blocks, so every node rendering the block — also a full-physics
-        node whose raw cursor runs a block ahead — and every live chunk
-        inside it share one trajectory evaluation.  A request spanning a
-        block boundary is evaluated directly.  Raises when a position in
-        ``[start, stop)`` lies on or below the road plane.
+        block's evaluation, made (and transposed) once and kept for the two
+        most recent blocks, so every node rendering the block — also a
+        full-physics node whose raw cursor runs a block ahead — and every
+        live chunk inside it share one trajectory evaluation.  A request
+        spanning a block boundary is evaluated directly.  Raises when a
+        position in ``[start, stop)`` lies on or below the road plane.
         """
         k = start // _RENDER_BLOCK
         if (stop - 1) // _RENDER_BLOCK != k:
-            t = np.arange(start, stop) / self.fs
-            out = [v.trajectory.positions(t) for v in self.scene.vehicles]
+            out = self._evaluate(start, stop)
         else:
             block = self._block_pos.get(k)
             if block is None:
                 b0 = k * _RENDER_BLOCK
-                t = np.arange(b0, min(b0 + _RENDER_BLOCK, self.n_samples)) / self.fs
-                block = [v.trajectory.positions(t) for v in self.scene.vehicles]
+                block = self._evaluate(b0, min(b0 + _RENDER_BLOCK, self.n_samples))
                 if len(self._block_pos) == 2:
                     del self._block_pos[next(iter(self._block_pos))]
                 self._block_pos[k] = block
             lo = start - k * _RENDER_BLOCK
-            out = [pos[lo : lo + stop - start] for pos in block]
+            out = [pos[:, lo : lo + stop - start] for pos in block]
         for src in out:
-            if np.any(src[:, 2] <= 0):
+            if np.any(src[2] <= 0):
                 raise ValueError("trajectory dips to or below the road plane (z <= 0)")
         return out
+
+    def _evaluate(self, start: int, stop: int) -> list[np.ndarray]:
+        """Every vehicle's trajectory over ``[start, stop)`` as ``(3, m)``."""
+        t = np.arange(start, stop) / self.fs
+        return [
+            np.ascontiguousarray(v.trajectory.positions(t).T) for v in self.scene.vehicles
+        ]
 
     # Raw-time slice per advance; >= the air stage's hop.  A whole render
     # advances one chunk at a time too: larger slices make the stacked
@@ -625,7 +639,7 @@ class CorridorBlockRenderer:
             d1 = _distances(src, mics)
             if p.refl_chain is not None:
                 img = src.copy()
-                img[:, 2] = -img[:, 2]
+                img[2] = -img[2]
                 d2 = _distances(img, mics)
                 # Direct and image path share one reader: a single stacked
                 # gather over (2, n_mics, m) absolute-index delays.

@@ -1,4 +1,12 @@
-"""Hardware-algorithm co-design: IR, cost models, CGRA mapping, DSE."""
+"""Hardware-algorithm co-design: IR, cost models, CGRA mapping, DSE.
+
+A design-time layer: the runtime packages (``core``, ``fleet``, ``stream``,
+``city`` and what they run) never import it, so neither a session nor a
+pool worker maps these modules or networkx.  The few runtime entry points
+that lower to the IR (``AcousticPerceptionPipeline.to_ir``,
+``EnergyTrigger.to_ir``, ``repro.core.mode_energy_report``) import it when
+called.
+"""
 
 from repro.hw.cgra import PE_KIND_SUPPORT, CgraFabric, PeSpec
 from repro.hw.codesign import (

@@ -10,6 +10,7 @@ from repro.acoustics.delay_line import (
     StreamingDelayReader,
     VariableDelayLine,
     _gather,
+    _interp_lagrange,
     render_varying_delay,
 )
 
@@ -268,3 +269,50 @@ class TestGather:
         assert np.array_equal(got, want)
         assert not np.signbit(got[outside]).any()
         assert np.array_equal(_gather(np.pad(x, 1), (idx + 1)[None, :, None]), want[None, :, None])
+
+
+def _lagrange_by_prod(xp, pos, order):
+    """The Lagrange read with every tap weight reduced by ``np.prod``: the
+    formulation ``_interp_lagrange`` replaced, kept as its oracle."""
+    base = np.floor(pos).astype(np.int64) - (order - 1) // 2
+    frac = pos - np.floor(pos)
+    offsets = np.arange(order + 1)
+    d = frac + (order - 1) // 2
+    coeffs = np.ones((*pos.shape, order + 1))
+    for k in range(order + 1):
+        others = offsets[offsets != k]
+        num = d[..., None] - others
+        den = float(np.prod(k - others))
+        coeffs[..., k] = np.prod(num, axis=-1) / den
+    taps = _gather(xp, base[..., None] + (offsets + 1))
+    return np.einsum("...t,...t->...", coeffs, taps)
+
+
+class TestLagrangeWeights:
+    """The running-product tap weights equal the ``np.prod`` reduction."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        order=st.integers(1, 5),
+        x=st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=30),
+        pos=st.lists(
+            st.floats(-12.0, 45.0, allow_nan=False) | st.integers(-8, 40).map(float),
+            min_size=1,
+            max_size=24,
+        ),
+        shape=st.sampled_from(["1d", "2d", "3d"]),
+    )
+    def test_bit_identical_to_prod_reduction(self, order, x, pos, shape):
+        """Orders 1-5, positions inside and outside the signal and exact
+        integer positions, on 1-D, 2-D and 3-D position arrays."""
+        xp = np.pad(np.array(x), 1)
+        pos = np.array(pos)
+        if shape == "2d":
+            pos = np.stack([pos, pos[::-1] + 0.25])
+        elif shape == "3d":
+            pos = np.stack([pos, -pos])[:, None, :].repeat(2, axis=1)
+        got = _interp_lagrange(xp, pos, order)
+        want = _lagrange_by_prod(xp, pos, order)
+        assert got.shape == want.shape == pos.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -221,7 +221,7 @@ class TestDistanceHelper:
         )
         src[on_mic % len(src)] = mics[on_mic % len(mics)]
         ref = np.linalg.norm(src[None, :, :] - mics[:, None, :], axis=2)
-        got = _distances(src, mics)
+        got = _distances(np.ascontiguousarray(src.T), mics)
         assert got.shape == ref.shape
         assert np.array_equal(got, ref)
         assert (got == 0.0).any()
@@ -358,6 +358,39 @@ class TestCorridorBlockRenderer:
         # A whole render raises the same error.
         with pytest.raises(ValueError, match="z <= 0"):
             synthesize_corridor(scene, FS)
+
+
+class TestSharedVehicleBuffer:
+    """One frozen padded signal per vehicle, read by every node's reader."""
+
+    @pytest.mark.parametrize("surface", [None, "dense_asphalt"])
+    def test_every_node_reads_one_read_only_buffer(self, surface):
+        scene = make_scene(n_nodes=3, surface=surface)
+        rend = CorridorBlockRenderer(scene, FS, air_absorption=surface is not None)
+        node_ids = [node.node_id for node in scene.nodes]
+        for v, vehicle in enumerate(scene.vehicles):
+            readers = [rend._readers[nid][v] for nid in node_ids]
+            buf = readers[0]._buf
+            assert all(r._buf is buf for r in readers)
+            assert not buf.flags.writeable
+            assert buf.size == vehicle.signal.size + 2
+            assert buf[0] == buf[-1] == 0.0
+            assert np.array_equal(buf[1:-1], vehicle.signal)
+            for r in readers:
+                with pytest.raises(RuntimeError):
+                    r.feed(np.ones(4))
+        first = rend._readers[node_ids[0]]
+        assert first[0]._buf is not first[1]._buf
+        assert scene.vehicles[0].signal.flags.writeable  # the scene's own signal is untouched
+
+    def test_cursors_stay_per_node(self):
+        """Pulling one node does not move another node's cursor over the
+        shared buffer."""
+        scene = make_scene(n_nodes=2)
+        rend = CorridorBlockRenderer(scene, FS)
+        rend.render_next("node0", 1000)
+        assert [r.n_read for r in rend._readers["node0"]] == [1000, 1000]
+        assert [r.n_read for r in rend._readers["node1"]] == [0, 0]
 
 
 class TestIncrementalCorridorStream:
