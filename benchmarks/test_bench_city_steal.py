@@ -17,14 +17,15 @@ are excluded).  The claims asserted:
 
 1. fused corridor tracks are **bit-identical** between the stealing and
    the pinned run (scheduling is a latency policy, never a results
-   policy — the migration machinery restores checkpointed state, so a
-   stolen shard continues exactly where it left off);
+   policy — a stolen shard's next step carries its checkpoint, so it
+   continues exactly where it left off);
 2. the skew is real: the stealing run actually stole (city-wide
    ``n_steals > 0``) and the pinned run never did;
 3. with >= 4 usable cores, the stealing run's step p95 is at most
-   ``RATIO_CEILING`` of the pinned baseline's — the steal path (drop +
-   checkpoint re-register + restore) must pay for itself on the skew it
-   exists to flatten.
+   ``RATIO_CEILING`` of the pinned baseline's — the steal path (the
+   shard's checkpoint riding its first step on the thief, plus its
+   registration payload the first time the thief runs it) must pay for
+   itself on the skew it exists to flatten.
 
 Rows ``E19_city_steal_on`` / ``E19_city_steal_off`` (``p95_ms`` = step
 p95) and the guarded ratio row ``E19_city_steal_ratio`` (``p95_ms`` =

@@ -27,8 +27,8 @@ against — and moves sessions through the lifecycle::
   the city.
 
 Worker death is handled at the manager level: :meth:`SessionManager.
-recover` respawns dead pool workers and restores every registered
-session's shards from their per-step checkpoints (see
+recover` respawns dead pool workers; each lost shard's next step there
+re-registers its runner and resumes it from its per-step checkpoint (see
 :meth:`~repro.stream.pool.ShardWorkerPool.recover`), so one corridor's
 crash never takes down the city.
 """
@@ -316,7 +316,8 @@ class SessionManager:
         session._leave(step_index)
 
     def recover(self) -> int:
-        """Respawn dead pool workers, restoring every registered session.
+        """Respawn dead pool workers; every registered session's lost
+        shards resume from their checkpoints on their next step.
 
         Returns the number of workers restarted (0 when none were dead).
         """

@@ -19,9 +19,9 @@ CityScenario` into a running city.  Each supervisor step:
    replies, so N corridors on W workers overlap instead of serializing;
 4. **recovers** from worker death: a :class:`~repro.stream.pool.
    WorkerCrashed` out of ``step_end`` triggers :meth:`~repro.city.session.
-   SessionManager.recover` (respawn + checkpoint restore + re-queue of the
-   lost step) and one retry — one corridor's crash never takes down the
-   city;
+   SessionManager.recover` (respawn + re-queue of the lost step, whose
+   retried dispatch carries each shard's checkpoint) and one retry — one
+   corridor's crash never takes down the city;
 5. **drains** sessions whose sources are exhausted or whose ``leave_step``
    has arrived.
 
@@ -164,9 +164,10 @@ class CitySupervisor:
         joined: list[str] = []
 
         # 0. Respawn workers that died since the last step (crash *between*
-        # steps): registered sessions restore from their checkpoints before
-        # anything is admitted or scheduled onto the pool.  Crashes *during*
-        # a step surface out of step_end and are handled in _collect.
+        # steps) before anything is admitted or scheduled onto the pool;
+        # the lost shards resume from their checkpoints on their next step.
+        # Crashes *during* a step surface out of step_end and are handled
+        # in _collect.
         self.manager.recover()
 
         # 1. Sessions that drained last step leave now.
@@ -222,12 +223,13 @@ class CitySupervisor:
         self.n_snapshots += 1
 
     def _collect(self, session: CitySession):
-        """``step_end`` with crash recovery: respawn, restore, retry once.
+        """``step_end`` with crash recovery: respawn, retry once.
 
         The stream keeps its in-flight step pending across a failed
         collect, and :meth:`~repro.stream.pool.ShardWorkerPool.recover`
-        re-queues the lost step commands from the sessions' checkpoints —
-        so the retry returns the same step the crash swallowed.
+        re-queues the lost step commands; the retry dispatches them with
+        the shards' checkpoints, so it returns the same step the crash
+        swallowed.
         """
         try:
             return session.stream.step_end()

@@ -20,12 +20,12 @@ streaming tick or a batch chunk is a step of one clip, a fleet shard step
 is one clip per node.  Each stage runs once per step over the concatenated
 clips — one cache, one detector forward, one localization pass — and only
 tracking loops over clips.  Localization keeps every clip's stream state
-apart: the built-in localizers search each clip's hits as one segment of a
-single coarse-to-fine pass, replaying that clip's
-:class:`~repro.ssl.refine.RefineState` (:mod:`repro.ssl.refine`);
-external localizers are called once per clip.  The localizers compute a
-frame's power from that frame alone, so a clip's peaks do not depend on
-which clips share its step.
+apart: the localizer (one of the built-ins, which the pipeline enforces)
+searches each clip's hits as one segment of a single coarse-to-fine pass,
+replaying that clip's :class:`~repro.ssl.refine.RefineState`
+(:mod:`repro.ssl.refine`).  The localizers compute a frame's power from
+that frame alone, so a clip's peaks do not depend on which clips share its
+step.
 
 **Adaptive priming.**  In the dense-detection regime the kernel "primes" the
 shared :class:`~repro.ssl.gcc.SpectraCache` — the localizer's FFTs are
@@ -50,7 +50,6 @@ from repro.nn.losses import softmax
 from repro.sed.events import EVENT_CLASSES, is_emergency
 from repro.ssl.gcc import SpectraCache
 from repro.ssl.refine import RefineState
-from repro.ssl.srp import SrpResult, _CoarseToFineMixin
 from repro.ssl.tracking import KalmanDoaTracker
 
 if TYPE_CHECKING:  # circular at runtime: pipeline builds its kernel lazily
@@ -79,7 +78,6 @@ class HopKernel:
     def __init__(self, pipeline: "AcousticPerceptionPipeline") -> None:
         self.pipeline = pipeline
         self._prime_threshold: float | None = None
-        self._accepts_cache: bool | None = None
 
     # ------------------------------------------------------------- cache
 
@@ -172,17 +170,16 @@ class HopKernel:
         Clip ``i`` is cache rows ``bounds[i]:bounds[i + 1]``, and
         ``states[i]`` carries its temporal-reuse window.  The hit rows of
         all clips form one cache selection (the shared cache itself when
-        every row hit, else one ``take``).  The built-in localizers
-        (:class:`~repro.ssl.srp.SrpPhat`,
-        :class:`~repro.ssl.srp_fast.FastSrpPhat`,
-        :class:`~repro.ssl.music.MusicDoa`) then run one GCC, one coarse
+        every row hit, else one ``take``).  The localizer — one of
+        :class:`~repro.ssl.srp.SrpPhat`,
+        :class:`~repro.ssl.srp_fast.FastSrpPhat` and
+        :class:`~repro.ssl.music.MusicDoa` — then runs one GCC, one coarse
         sweep and one set of window GEMMs for the whole step, each clip's
         window selection replaying its own state over its own segment of
         the hits; the peaks are read as floats off the grid axes, with no
         map or :class:`~repro.ssl.srp.SrpResult` built.  A frame's power
         depends on that frame alone, so each clip gets what localizing it
-        alone would give.  Any other localizer is called once per clip with
-        that clip's state (see :meth:`_localize_cache`).
+        alone would give.
 
         Returns one ``(azimuths, elevations)`` pair of lists per clip, one
         entry per detected row in row order.
@@ -193,60 +190,12 @@ class HopKernel:
         sub = cache if hits.size == cache.n_frames else cache.take(hits)
         seg = np.searchsorted(hits, bounds).tolist()  # clip bounds among the hits
         localizer = self.pipeline.localizer
-        if isinstance(localizer, _CoarseToFineMixin):
-            flats = localizer._peak_flats(sub, seg, list(states))
-            grid = localizer.grid
-            i, j = np.divmod(flats, grid.n_elevation)
-            azimuths = grid.azimuths[i].tolist()
-            elevations = grid.elevations[j].tolist()
-            return [(azimuths[a:b], elevations[a:b]) for a, b in zip(seg, seg[1:])]
-        # External localizers: one call per clip, with that clip's state.
-        out = []
-        for a, b, state in zip(seg, seg[1:], states):
-            results = []
-            if b > a:
-                clip = sub if b - a == sub.n_frames else sub.take(np.arange(a, b))
-                results = self._localize_cache(clip, state)
-            out.append(([r.azimuth for r in results], [r.elevation for r in results]))
-        return out
-
-    def _localize_cache(self, sub: SpectraCache, state: RefineState | None) -> list[SrpResult]:
-        """Run one clip's cache of frames through an external localizer.
-
-        External localizers degrade gracefully: with ``localize_batch`` and
-        its cache/state keywords they get the clip's cache; without those
-        keywords they receive the original float64 frames, and without a
-        ``localize_batch`` at all they are driven one frame at a time
-        through ``localize`` (passing ``state`` when supported) — the
-        contract the streaming tick has always offered.
-        """
-        localizer = self.pipeline.localizer
-        fn = getattr(localizer, "localize_batch", None)
-        if fn is None:
-            frames = np.ascontiguousarray(sub.source_frames, dtype=np.float64)
-            if self._accepts_cache is None:
-                self._accepts_cache = self._probe_kwargs(localizer.localize, ("state",))
-            if self._accepts_cache:
-                return [localizer.localize(f, state=state) for f in frames]
-            return [localizer.localize(f) for f in frames]
-        if self._accepts_cache is None:
-            self._accepts_cache = self._probe_kwargs(fn, ("cache", "state"))
-        if self._accepts_cache:
-            return fn(None, cache=sub, state=state)
-        # External localizer without the cache/coarse-to-fine keywords: hand
-        # it the original float64 frames, exactly like the streaming path.
-        return fn(np.ascontiguousarray(sub.source_frames, dtype=np.float64))
-
-    @staticmethod
-    def _probe_kwargs(fn, names: tuple[str, ...]) -> bool:
-        """Whether ``fn``'s signature accepts every keyword in ``names``."""
-        try:
-            import inspect
-
-            params = inspect.signature(fn).parameters
-        except (TypeError, ValueError):
-            return False
-        return all(name in params for name in names)
+        flats = localizer._peak_flats(sub, seg, list(states))
+        grid = localizer.grid
+        i, j = np.divmod(flats, grid.n_elevation)
+        azimuths = grid.azimuths[i].tolist()
+        elevations = grid.elevations[j].tolist()
+        return [(azimuths[a:b], elevations[a:b]) for a, b in zip(seg, seg[1:])]
 
     def track(
         self,

@@ -19,13 +19,12 @@ import numpy as np
 from repro.core.config import PipelineConfig
 from repro.dsp.stft import get_window
 from repro.features.mel import mel_filterbank
-from repro.nn.losses import softmax
 from repro.nn.module import Module
-from repro.sed.events import EVENT_CLASSES, class_name
+from repro.sed.events import EVENT_CLASSES
 from repro.sed.models import build_sed_mlp
 from repro.ssl.doa import DoaGrid
 from repro.ssl.refine import RefineConfig, RefineState
-from repro.ssl.srp import SrpPhat, mic_pairs
+from repro.ssl.srp import SrpPhat, _CoarseToFineMixin, mic_pairs
 from repro.ssl.srp_fast import FastSrpPhat
 from repro.ssl.tracking import KalmanDoaTracker
 
@@ -79,7 +78,10 @@ class AcousticPerceptionPipeline:
         A pre-built localizer to reuse instead of constructing one —
         pipelines over identical array geometries (e.g. fleet nodes with
         the same mounting design) can share one instance and its cached
-        steering tensors.  Must match ``config.localizer``'s interface.
+        steering tensors.  Must be a :class:`~repro.ssl.srp.SrpPhat`,
+        :class:`~repro.ssl.srp_fast.FastSrpPhat` or
+        :class:`~repro.ssl.music.MusicDoa` (the hop kernel drives their
+        one-pass search); anything else raises ``TypeError``.
     """
 
     def __init__(
@@ -100,6 +102,11 @@ class AcousticPerceptionPipeline:
         self.detector = detector or build_sed_mlp(cfg.n_mels, len(EVENT_CLASSES))
         self.detector.eval()
         if localizer is not None:
+            if not isinstance(localizer, _CoarseToFineMixin):
+                raise TypeError(
+                    "localizer must be a SrpPhat, FastSrpPhat or MusicDoa, "
+                    f"not {type(localizer).__name__}"
+                )
             self.localizer = localizer
         else:
             grid = DoaGrid(n_azimuth=cfg.n_azimuth, n_elevation=cfg.n_elevation)
@@ -161,24 +168,6 @@ class AcousticPerceptionPipeline:
         return self._hop_kernel
 
     # ------------------------------------------------------------------ API
-
-    def detect_frame(self, reference_frame: np.ndarray) -> tuple[str, float, np.ndarray]:
-        """Classify one reference-channel frame.
-
-        Returns ``(label, confidence, posterior)``.
-        """
-        reference_frame = np.asarray(reference_frame, dtype=np.float64)
-        if reference_frame.shape != (self.config.frame_length,):
-            raise ValueError(f"expected frame of {self.config.frame_length} samples")
-        spec = np.fft.rfft(reference_frame * self.window)
-        spectrum = spec.real**2 + spec.imag**2
-        mel = self.mel_fb @ spectrum
-        feat = np.log(np.maximum(mel, 1e-10))
-        feat = (feat - feat.mean()) / (feat.std() or 1.0)
-        logits = self.detector.forward(feat[None, :])
-        post = softmax(logits, axis=1)[0]
-        k = int(np.argmax(post))
-        return class_name(k), float(post[k]), post
 
     def process_frame(self, frames: np.ndarray) -> FrameResult:
         """Run one full pipeline tick on a multichannel frame.

@@ -121,8 +121,9 @@ class StreamingStft:
 class StreamingLogMel:
     """Streaming log-mel front-end: chunks in, (n_mels,) vectors out.
 
-    Matches :meth:`repro.core.pipeline.AcousticPerceptionPipeline.detect_frame`
-    feature computation so a detector trained offline runs unchanged online.
+    Matches the detection features of :meth:`repro.core.hop.HopKernel.detect`
+    (a pipeline's window and mel filterbank, per-frame standardized log-mel)
+    so a detector trained offline runs unchanged online.
     """
 
     def __init__(

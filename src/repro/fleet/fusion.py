@@ -59,7 +59,6 @@ from repro.sed.events import fusion_threshold, is_emergency
 from repro.ssl.multilateration import localize_position
 
 if TYPE_CHECKING:  # imported lazily to keep fleet importable without stream
-    from repro.stream.budget import StageBudget
     from repro.stream.tap import SampleTap
 
 __all__ = [
@@ -569,11 +568,10 @@ class TrackUpdate:
         Track-filter speed estimate.
     n_nodes:
         Distinct nodes that have contributed so far.
-    budget:
-        End-to-end :class:`~repro.stream.budget.StageBudget` of this update
-        (capture → delivery → ingest → kernel → fusion → emit), attached by
-        the fleet session to every update it streams; only the offline
-        :func:`fuse_fleet` pass leaves it ``None``.
+
+    A fleet session keeps each streamed update's
+    :class:`~repro.stream.budget.StageBudget` beside it, in
+    ``stage_budgets`` (aligned 1:1 with ``updates``).
     """
 
     kind: str
@@ -584,7 +582,6 @@ class TrackUpdate:
     y: float
     speed_mps: float
     n_nodes: int
-    budget: "StageBudget | None" = None
 
 
 class FusionEngine:

@@ -34,15 +34,16 @@ package closes that gap with a hop-clocked runtime over the same shared
 **Work stealing and shard migration.**  The pool does not pin shards to
 the worker that registered them: each worker has a deque of hop-step work
 items, and a worker that drains its own deque *steals* a registered shard
-from the deepest queue.  The stolen shard is dropped on the loser,
-re-registered on the thief and restored from its per-step ``state_dict()``
-checkpoint — exactly the machinery :meth:`ShardWorkerPool.recover` uses
-after a worker death, so fused tracks are bit-identical whether a shard
-ran its whole session on one worker or migrated a dozen times, and a
-crash *mid-migration* resolves through the same recover/retry path as any
-other :class:`WorkerCrashed`.  One skewed corridor can no longer stall
-its neighbours while other workers idle (``steal=False`` restores static
-pinning, which is what a session's private pool uses).  Pool pressure
+from the deepest queue.  A steal sends nothing: it re-homes the shard's
+queued items, and the shard's next step command to the thief carries its
+latest per-step ``state_dict()`` checkpoint (which the main process holds
+from the shard's last step reply), preceded by the registration payload
+if the thief never held the runner.  :meth:`ShardWorkerPool.migrate` and
+:meth:`ShardWorkerPool.recover` after a worker death take the same path,
+so fused tracks are bit-identical whether a shard ran its whole session
+on one worker or migrated a dozen times.  One skewed corridor can no
+longer stall its neighbours while other workers idle (``steal=False``
+restores static pinning, which is what a session's private pool uses).  Pool pressure
 (queue depth + steal rate) feeds :class:`SharedCapacity`, which scales
 every paced session's ``min_batch`` city-wide under sustained backlog.
 

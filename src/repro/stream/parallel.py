@@ -46,20 +46,23 @@ a caller-supplied :class:`~repro.stream.pacer.PacerConfig` it holds the
 batch at exactly ``hop_batch``; with one, hop-budget overruns widen that
 shard's effective hop batch (catch up by amortizing, not by ring drops),
 headroom shrinks it back, and ``pace=True`` replays at capture speed.
-Every emitted
-:class:`~repro.fleet.fusion.TrackUpdate` carries a
+Every emitted :class:`~repro.fleet.fusion.TrackUpdate` gets a
 :class:`~repro.stream.budget.StageBudget` decomposing its detect-to-update
-latency across capture → delivery → ingest → kernel → fusion → emit.
+latency across capture → delivery → ingest → kernel → fusion → emit, kept
+in ``stage_budgets`` beside ``updates``.
 
 The worker processes themselves live in :class:`~repro.stream.pool.
 ShardWorkerPool`, and a session reaches them one way only: it *registers*
 its runners.  A session opened with ``workers=N`` forks a private pool
 and registers on it; a session opened with ``pool=`` registers on an
 existing shared pool — the multi-corridor mode :mod:`repro.city` builds
-on.  Either way a dead worker surfaces as a :class:`~repro.stream.pool.
-WorkerCrashed` naming the shards it owned, the pool's
-:meth:`~repro.stream.pool.ShardWorkerPool.recover` restores them from
-their step checkpoints, and the :meth:`ParallelFleetStream.step_begin` /
+on.  Either way each step reply carries the runner's checkpoint, and a
+shard that moves to another worker (a steal, a migration, a respawn after
+a crash) resumes from it on its next step there.  A dead worker surfaces
+as a :class:`~repro.stream.pool.WorkerCrashed` naming the shards it
+owned; after the pool's :meth:`~repro.stream.pool.ShardWorkerPool.
+recover` the pending :meth:`ParallelFleetStream.step_end` is retried.
+The :meth:`~ParallelFleetStream.step_begin` /
 :meth:`~ParallelFleetStream.step_end` split lets a supervisor overlap many
 sessions' kernel passes on the same workers.
 """
@@ -213,16 +216,18 @@ class _ShardRunner:
         return HopReply(tuple(nids), results, time.perf_counter() - t0)
 
     def state_dict(self) -> dict:
-        """The shard's mutable stream state (crash-recovery checkpoint).
+        """The shard's mutable stream state (its checkpoint).
 
         Small by construction — scalar Kalman trackers, refinement window
         bookkeeping, frame counters and each node pipeline's
-        detection-density EMA (which decides cache priming, so a restored
-        shard primes exactly where the original would have), a few hundred
-        bytes — so a pool worker can afford to ship it with every step
-        reply.  The rings are deliberately *not* part of it: their headers
-        live in shared memory owned by the main process and survive a
-        worker crash on their own.
+        detection-density EMA (which decides cache priming, so a resumed
+        shard primes exactly where the original would have), under 2 KB
+        pickled — so a pool worker can afford to ship it with every step
+        reply, and the pool can send it with the shard's next step to
+        whichever worker runs that step (after a steal, a migration or a
+        crash).  The rings are deliberately *not* part of it: their
+        headers live in shared memory owned by the main process and
+        survive a worker crash on their own.
         """
         return {
             "trackers": self.trackers,
@@ -232,8 +237,8 @@ class _ShardRunner:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output (after a worker respawn or a
-        migration)."""
+        """Load :meth:`state_dict` output (on a worker that did not run the
+        shard's previous step)."""
         self.trackers = dict(state["trackers"])
         self.refine = dict(state["refine"])
         self.counts = dict(state["counts"])
@@ -343,8 +348,8 @@ class ParallelFleetStream:
     2. the fusion frontier — frames every still-active node has finished —
        advances, and each frontier frame is fused immediately
        (associate/update/coast), emitting live
-       :class:`~repro.fleet.fusion.TrackUpdate` events, each stamped with
-       its :class:`~repro.stream.budget.StageBudget`;
+       :class:`~repro.fleet.fusion.TrackUpdate` events, each with its
+       :class:`~repro.stream.budget.StageBudget` in ``stage_budgets``;
     3. the step's wall time is recorded against the hop deadline.
 
     On the same audio (no drops, ample rings) the per-node result streams
@@ -373,8 +378,8 @@ class ParallelFleetStream:
         runners on the pool's workers and releases them on :meth:`close`.
         This is how :class:`repro.city.CitySupervisor` runs many sessions
         on one set of workers.  Private or shared, registered runners
-        checkpoint their state every step, so the pool can restore them
-        after a worker death.
+        checkpoint their state every step, so a shard can resume on another
+        worker after a steal, a migration or a worker death.
     session_id:
         Name registered on the shared pool (default ``"fleet"``); must be
         unique among the pool's live sessions.
@@ -728,8 +733,8 @@ class ParallelFleetStream:
         t_fuse = time.perf_counter()
         updates = self._fuse_frontier()
         fusion_s = time.perf_counter() - t_fuse
-        updates = self._attach_budgets(updates, fusion_s, range(fused_before, self._fused_upto))
         self.updates.extend(updates)
+        self._attach_budgets(updates, fusion_s, range(fused_before, self._fused_upto))
         step_wall = time.perf_counter() - t0
         self._wall += step_wall
         if hops_advanced:
@@ -880,10 +885,9 @@ class ParallelFleetStream:
         self._fused_upto = max(self._fused_upto, frontier)
         return updates
 
-    def _attach_budgets(
-        self, updates: list[TrackUpdate], fusion_s: float, fused: range
-    ) -> list[TrackUpdate]:
-        """Stamp each new update with its detect-to-update stage breakdown.
+    def _attach_budgets(self, updates: list[TrackUpdate], fusion_s: float, fused: range) -> None:
+        """Append each new update's detect-to-update stage breakdown to
+        ``stage_budgets``, which stays aligned 1:1 with ``updates``.
 
         Delivery/ingest/kernel are the max over the nodes contributing that
         frame (the update waited for the slowest node), folded into the
@@ -893,25 +897,17 @@ class ParallelFleetStream:
         """
         costs = [self._frame_cost.pop(frame) for frame in fused]
         if not updates:
-            return updates
-        cfg = self.scheduler.config
-        capture_ms = cfg.capture_latency_s * 1e3
+            return
+        capture_ms = self.scheduler.config.capture_latency_s * 1e3
         fusion_ms = fusion_s / max(1, len(fused)) * 1e3
         t_emit = time.perf_counter()
-        out: list[TrackUpdate] = []
         for u in updates:
             delivery, ingest, kernel = costs[u.frame_index - fused.start]
-            budget = StageBudget(
+            self.stage_budgets.append(StageBudget(
                 capture_ms,
                 delivery,
                 ingest,
                 kernel,
                 fusion_ms,
                 (time.perf_counter() - t_emit) * 1e3,  # emit
-            )
-            self.stage_budgets.append(budget)
-            # Built directly: dataclasses.replace costs 2x per update.
-            out.append(TrackUpdate(
-                u.kind, u.frame_index, u.track_id, u.label, u.x, u.y, u.speed_mps, u.n_nodes, budget
             ))
-        return out

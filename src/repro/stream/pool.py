@@ -16,13 +16,21 @@ which can schedule them by **work stealing** instead of static pinning:
   current worker's queue and keeps at most :data:`_MAX_INFLIGHT` commands
   in each worker's pipe; ``step_collect(session)`` pumps replies until the
   session's oldest step generation completes.  A worker that drains its
-  own queue **steals a shard from the deepest queue** (work stealing):
-  the shard is dropped on the loser, re-registered and restored from its
-  last step checkpoint on the thief — exactly the machinery
-  :meth:`recover` uses for crash restore, so fused tracks stay
-  bit-identical whether or not a shard ever migrated.  Shards with a step
-  already in flight are never stolen.  ``steal=False`` keeps the static
-  pinning (the E19 baseline, and a private session pool's placement).
+  own queue **steals a shard from the deepest queue** (work stealing).
+  Shards with a step already in flight are never stolen.  ``steal=False``
+  keeps the static pinning (the E19 baseline, and a private session
+  pool's placement).
+- **a shard's checkpoint rides its next step.**  Moving a shard is main-side
+  bookkeeping only: a steal, :meth:`~ShardWorkerPool.migrate` and
+  :meth:`~ShardWorkerPool.recover` re-home its queued items and send
+  nothing.  The main process holds every shard's latest checkpoint (each
+  step reply carries one), so the next step command sent to a worker that
+  did not run the shard's previous step carries that checkpoint, and the
+  worker loads it before stepping; a worker that never held the shard gets
+  its registration payload first, on the same FIFO pipe.  Workers keep
+  every runner they were sent, so a shard returning to a worker ships no
+  payload, only the checkpoint.  Fused tracks stay bit-identical whether or
+  not a shard ever moved.
 - **step replies ride the worker pipe.**  A step's reply travels back
   pickled, as ``("stepped", session, shard, reply, checkpoint)``, on the
   same pipe that carries the commands.  Shared-memory reply slots were
@@ -30,12 +38,11 @@ which can schedule them by **work stealing** instead of static pinning:
   more than unpickling it.
 - **worker death is a typed, attributed error.**  Any pipe operation on a
   dead worker raises :class:`WorkerCrashed` naming the shards that worker
-  owned.  Runners checkpoint their mutable state with every step reply,
-  so :meth:`ShardWorkerPool.recover` can fork a replacement worker,
-  re-register the lost shards, restore them to their last completed step
-  and re-queue the lost in-flight items — a crash between steps loses
-  nothing, a crash mid-step (including mid-*migration*) re-runs at most
-  the in-flight hop batches.
+  owned.  :meth:`ShardWorkerPool.recover` forks a replacement worker and
+  re-queues the lost in-flight items; their next dispatch registers the
+  runners and carries their last checkpoints, so a crash between steps
+  loses nothing and a crash mid-step re-runs at most the in-flight hop
+  batches.
 - **pressure is observable.**  Given a :class:`~repro.stream.pacer.
   SharedCapacity`, every ``step_send`` feeds the pool's backlog and steal
   rate into :meth:`~repro.stream.pacer.SharedCapacity.note_pressure`, so
@@ -110,13 +117,14 @@ def _shard_label(sid: str, key: int) -> str:
 
 
 def _pool_worker_main(conn) -> None:
-    """Worker loop: register/restore/step/drop/release runners on command.
+    """Worker loop: register/step/release runners on command.
 
     ``owned`` maps ``(session_id, shard_key)`` to a runner, registered over
-    the pipe.  A shard migrating away is ``drop``\\ ped into a *dormant*
-    cache rather than discarded, so a later re-register with a ``None``
-    payload revives it without re-unpickling the pipelines.  Every step
-    reply carries the runner's pickled ``state_dict()`` checkpoint.  Every
+    the pipe and kept until its session is released, even while the shard
+    runs elsewhere.  A step command ``("step", sid, key, state)`` with a
+    non-``None`` ``state`` loads that pickled checkpoint before stepping:
+    the shard's previous step ran on another worker.  Every step reply
+    carries the runner's pickled ``state_dict()`` checkpoint.  Every
     command gets exactly one reply (``("ok",)``, ``("stepped", ...)`` or
     :class:`_WorkerError`), so the main side can treat the pipe as a FIFO
     of request/response pairs.  ``None`` shuts the worker down.
@@ -124,7 +132,6 @@ def _pool_worker_main(conn) -> None:
     import traceback
 
     owned: dict = {}
-    dormant: dict = {}
     try:
         while True:
             msg = conn.recv()
@@ -133,34 +140,21 @@ def _pool_worker_main(conn) -> None:
             try:
                 cmd = msg[0]
                 if cmd == "step":
-                    _, sid, key = msg
+                    _, sid, key, state = msg
                     runner = owned[(sid, key)]
+                    if state is not None:
+                        runner.load_state_dict(pickle.loads(state))
                     reply = runner.step()
                     state = pickle.dumps(runner.state_dict(), protocol=pickle.HIGHEST_PROTOCOL)
                     conn.send(("stepped", sid, key, reply, state))
                 elif cmd == "register":
                     _, sid, key, blob = msg
-                    if blob is None:
-                        # Migration revival: the shard lived here before and
-                        # its runner is parked in the dormant cache.
-                        owned[(sid, key)] = dormant.pop((sid, key))
-                    else:
-                        owned[(sid, key)] = pickle.loads(blob)
-                    conn.send(("ok",))
-                elif cmd == "drop":
-                    _, sid, key = msg
-                    dormant[(sid, key)] = owned.pop((sid, key))
-                    conn.send(("ok",))
-                elif cmd == "restore":
-                    _, sid, key, blob = msg
-                    owned[(sid, key)].load_state_dict(pickle.loads(blob))
+                    owned[(sid, key)] = pickle.loads(blob)
                     conn.send(("ok",))
                 elif cmd == "release":
                     sid = msg[1]
                     for k in [k for k in owned if k[0] == sid]:
                         owned.pop(k, None)
-                    for k in [k for k in dormant if k[0] == sid]:
-                        dormant.pop(k, None)
                     conn.send(("ok",))
                 else:  # pragma: no cover - protocol misuse
                     conn.send(_WorkerError(f"unknown command {cmd!r}"))
@@ -233,9 +227,14 @@ class ShardWorkerPool:
         pool's backlog and steal rate each ``step_send``.
 
     Every step reply comes back pickled over the worker's pipe, with the
-    shard's checkpoint.  The pool must be closed
-    (:meth:`close`) to join its workers; sessions should :meth:`release`
-    themselves when they finish so their slots free up for later joiners.
+    shard's checkpoint, and the pool keeps the latest one per shard.  A
+    shard moves (steal, :meth:`migrate`, :meth:`recover`) by bookkeeping
+    alone: its next step command, sent to a worker that did not run its
+    previous step, carries that checkpoint, preceded by the registration
+    payload when the worker holds no copy of the runner.  The pool must be
+    closed (:meth:`close`) to join its workers; sessions should
+    :meth:`release` themselves when they finish so their slots free up for
+    later joiners.
     """
 
     def __init__(
@@ -257,16 +256,19 @@ class ShardWorkerPool:
         self._ctx = multiprocessing.get_context("fork")
         self._procs: list = [None] * self.workers
         self._conns: list = [None] * self.workers
-        # Main-side scheduling state.  Per worker: the deque of queued
-        # (session, shard) hop-step items, the FIFO of items whose step
-        # command is in the pipe, and the FIFO of *all* expected replies
-        # (("ok",) acks interleave with ("step", sid, key) entries in
-        # command order — the pipe is a FIFO, so one queue disambiguates
-        # them).
+        # Main-side scheduling state.  Per shard: its current worker, its
+        # registration payload, its latest committed checkpoint, the
+        # workers holding a copy of its runner and the worker its last
+        # step was sent to.  Per worker: the deque of queued (session,
+        # shard) hop-step items, the FIFO of items whose step command is in
+        # the pipe, and the FIFO of *all* expected replies (("ok",) acks
+        # interleave with ("step", sid, key) entries in command order — the
+        # pipe is a FIFO, so one queue disambiguates them).
         self._assign: dict[tuple[str, int], int] = {}
         self._payloads: dict[tuple[str, int], bytes] = {}
         self._checkpoints: dict[tuple[str, int], bytes] = {}
-        self._seeded: dict[tuple[str, int], set[int]] = {}
+        self._holders: dict[tuple[str, int], set[int]] = {}
+        self._latest: dict[tuple[str, int], int] = {}
         self._queues: list[deque] = [deque() for _ in range(self.workers)]
         self._inflight: list[deque] = [deque() for _ in range(self.workers)]
         self._expect: list[deque] = [deque() for _ in range(self.workers)]
@@ -277,10 +279,6 @@ class ShardWorkerPool:
         self.n_steals = 0
         self.n_migrations = 0
         self._noted_steals = 0
-        # Test hook: called between the loser's drop and the thief's
-        # register during a migration (the crash-window regression tests
-        # SIGKILL the thief here).
-        self._migration_hook = None
         self._closed = False
         for w in range(self.workers):
             self._spawn(w)
@@ -322,7 +320,8 @@ class ShardWorkerPool:
 
         The runners are pickled to their workers — pipelines once, rings by
         shared-memory segment name — and checkpoint their mutable state on
-        every step so :meth:`recover` (and a migration) can restore them.
+        every step, so a shard's next step can resume it on any worker
+        (after a steal, :meth:`migrate` or :meth:`recover`).
         """
         self._check_open()
         if not runners:
@@ -343,21 +342,21 @@ class ShardWorkerPool:
             self._send(w, ("register", session_id, int(key), blob))
             self._assign[shard] = w
             self._payloads[shard] = blob
-            self._seeded[shard] = {w}
+            self._holders[shard] = {w}
         self._drain_acks()
         self._session_stats.setdefault(session_id, SessionStats())
 
     def release(self, session_id: str) -> None:
-        """Drop a session's runners — live and dormant — from every worker
-        that holds a copy (idempotent)."""
+        """Drop a session's runners from every worker that holds a copy
+        (idempotent)."""
         if self._closed:
             return
         if any(self._inflight[w] for w in range(self.workers)):
             raise RuntimeError("cannot release while steps are in flight")
-        targets = {w for (sid, _), w in self._assign.items() if sid == session_id}
-        for shard, seeded in self._seeded.items():
-            if shard[0] == session_id:
-                targets |= seeded
+        targets: set[int] = set()
+        for (sid, _), holders in self._holders.items():
+            if sid == session_id:
+                targets |= holders
         for w in sorted(targets):
             # A dead worker has nothing left to release; recovery (or the
             # pool's close) handles its bookkeeping.
@@ -372,7 +371,8 @@ class ShardWorkerPool:
             self._assign.pop(shard, None)
             self._payloads.pop(shard, None)
             self._checkpoints.pop(shard, None)
-            self._seeded.pop(shard, None)
+            self._holders.pop(shard, None)
+            self._latest.pop(shard, None)
         for q in self._queues:
             if any(item[0] == session_id for item in q):
                 remaining = [item for item in q if item[0] != session_id]
@@ -427,6 +427,10 @@ class ShardWorkerPool:
         if not gens:
             return {}
         gen = gens[0]
+        # Items recover() re-queued on a respawned worker dispatch here.
+        for w in range(self.workers):
+            if self._queues[w] and not self._inflight[w]:
+                self._fill(w)
         while gen["pending"]:
             if not self._pump():
                 self._raise_if_stalled()
@@ -443,9 +447,10 @@ class ShardWorkerPool:
     def migrate(self, session_id: str, key: int, to: int) -> None:
         """Forcibly move one registered shard to worker ``to``.
 
-        The same drop → re-register → restore sequence work stealing uses,
-        exposed for tests and explicit rebalancing.  Refuses shards with a
-        step in flight.
+        The same move work stealing makes, exposed for tests and explicit
+        rebalancing: the shard's queued items re-home, and its next step on
+        ``to`` carries its checkpoint.  Refuses shards with a step in
+        flight.
         """
         self._check_open()
         shard = (session_id, int(key))
@@ -462,13 +467,13 @@ class ShardWorkerPool:
         self._fill(int(to))
 
     def recover(self) -> int:
-        """Respawn dead workers and restore their shards; returns how many.
+        """Respawn dead workers; returns how many.
 
-        Every shard assigned to a dead worker is re-registered from its
-        registration payload and restored to its last step checkpoint;
-        hop-step items that were in flight are re-queued at the *front* of
-        the respawned worker's deque (oldest first), so a pending
-        :meth:`step_collect` can simply be retried.
+        Sends nothing to the respawned worker.  Hop-step items that were in
+        flight on a dead worker are re-queued at the *front* of its deque
+        (oldest first), so a pending :meth:`step_collect` can simply be
+        retried: the next dispatch of each shard registers its runner from
+        the registration payload and carries its last committed checkpoint.
         """
         self._check_open()
         restarted = 0
@@ -476,34 +481,23 @@ class ShardWorkerPool:
             proc = self._procs[w]
             if proc is None or proc.is_alive():
                 continue
-            shards = sorted(s for s, owner in self._assign.items() if owner == w)
             pending = list(self._inflight[w])
             self._inflight[w].clear()
             self._expect[w].clear()
-            # The respawned worker starts with an empty dormant cache; its
-            # seeded copies are gone.
-            for seeded in self._seeded.values():
-                seeded.discard(w)
+            # The respawned worker holds no runner and ran no step.
+            for holders in self._holders.values():
+                holders.discard(w)
+            for shard in [s for s, last in self._latest.items() if last == w]:
+                del self._latest[shard]
             try:
                 self._conns[w].close()
             except OSError:  # pragma: no cover
                 pass
             proc.join(timeout=1.0)
             self._spawn(w)
-            for sid, key in shards:
-                self._expect[w].append(("ok",))
-                self._send(w, ("register", sid, key, self._payloads[(sid, key)]))
-                self._seeded[(sid, key)].add(w)
-                state = self._checkpoints.get((sid, key))
-                if state is not None:
-                    self._expect[w].append(("ok",))
-                    self._send(w, ("restore", sid, key, state))
             for item in reversed(pending):
                 self._queues[w].appendleft(item)
             restarted += 1
-        if restarted:
-            for w in range(self.workers):
-                self._fill(w)
         return restarted
 
     def close(self) -> None:
@@ -537,7 +531,8 @@ class ShardWorkerPool:
         self._assign.clear()
         self._payloads.clear()
         self._checkpoints.clear()
-        self._seeded.clear()
+        self._holders.clear()
+        self._latest.clear()
         self._gens.clear()
         self._session_stats.clear()
         for q in self._queues:
@@ -598,17 +593,32 @@ class ShardWorkerPool:
 
     def _fill(self, w: int) -> None:
         """Keep worker ``w``'s pipe at the in-flight depth: dispatch from
-        its own queue, stealing a shard from the deepest queue when dry."""
+        its own queue, stealing a shard from the deepest queue when dry.
+
+        A worker that holds no copy of the shard's runner gets the
+        registration payload first; a step sent to a worker other than the
+        one that got the shard's previous step carries the shard's latest
+        checkpoint (no step of a movable shard is in flight, so the
+        committed checkpoint is the latest).
+        """
         if self._closed or not self._alive(w):
             return
         while len(self._inflight[w]) < _MAX_INFLIGHT:
             if not self._queues[w]:
                 if not self.steal or not self._steal_into(w):
                     return
-            sid, key = self._queues[w].popleft()
-            self._inflight[w].append((sid, key))
+            shard = self._queues[w].popleft()
+            sid, key = shard
+            self._inflight[w].append(shard)
+            holders = self._holders[shard]
+            if w not in holders:
+                holders.add(w)
+                self._expect[w].append(("ok",))
+                self._send(w, ("register", sid, key, self._payloads[shard]))
+            state = None if self._latest.get(shard) == w else self._checkpoints.get(shard)
+            self._latest[shard] = w
             self._expect[w].append(("step", sid, key))
-            self._send(w, ("step", sid, key))
+            self._send(w, ("step", sid, key, state))
 
     def _steal_into(self, w: int) -> bool:
         """Move one stealable shard from the deepest queue onto worker
@@ -645,53 +655,29 @@ class ShardWorkerPool:
             candidates.append(item)
         if not candidates:
             return False
-        # Prefer a shard this worker already holds dormant: reviving it
-        # ships no payload at all.
-        shard = next(
-            (c for c in candidates if w in self._seeded.get(c, ())), candidates[0]
-        )
+        # Prefer a shard this worker already holds: its registration
+        # payload need not ship again.
+        shard = next((c for c in candidates if w in self._holders[c]), candidates[0])
         self._migrate(shard, victim, w, stolen=True)
         return True
 
     def _migrate(self, shard: tuple[str, int], src: int, dst: int, *, stolen: bool) -> None:
-        """Move ``shard`` from ``src`` to ``dst``: drop on the loser,
-        re-register (+ checkpoint restore) on the thief, re-home its queued
-        items.  The same machinery :meth:`recover` uses, so the shard's
-        fused output is bit-identical to never having moved.
-        """
-        sid, key = shard
-        if self._alive(src):
-            self._expect[src].append(("ok",))
-            self._send(src, ("drop", sid, key))
-        # Re-home the main-side bookkeeping *before* touching the thief:
-        # from here on a crash of either worker resolves through recover()
-        # — the shard is assigned to dst, its payload and checkpoint replay
-        # there, and its queued items re-dispatch — with no lost or
-        # duplicated hop steps.
+        """Move ``shard`` from ``src`` to ``dst``: re-home its queued items
+        and count the move.  Sends nothing; the shard's next step on
+        ``dst`` carries its checkpoint (see :meth:`_fill`)."""
         moved = [item for item in self._queues[src] if item == shard]
         if moved:
             remaining = [item for item in self._queues[src] if item != shard]
             self._queues[src].clear()
             self._queues[src].extend(remaining)
+        self._queues[dst].extend(moved)
         self._assign[shard] = dst
         self.n_migrations += 1
-        stats = self._session_stats.setdefault(sid, SessionStats())
+        stats = self._session_stats.setdefault(shard[0], SessionStats())
         stats.n_migrations += 1
         if stolen:
             self.n_steals += 1
             stats.n_steals += 1
-        if self._migration_hook is not None:
-            self._migration_hook(shard, src, dst)
-        seeded = self._seeded.setdefault(shard, set())
-        blob = None if dst in seeded else self._payloads[shard]
-        seeded.add(dst)
-        self._expect[dst].append(("ok",))
-        self._send(dst, ("register", sid, key, blob))
-        state = self._checkpoints.get(shard)
-        if state is not None:
-            self._expect[dst].append(("ok",))
-            self._send(dst, ("restore", sid, key, state))
-        self._queues[dst].extend(moved)
 
     # ------------------------------------------------------------- pumping
 
@@ -757,9 +743,9 @@ class ShardWorkerPool:
         if self._inflight[w] and self._inflight[w][0] == (sid, key):
             self._inflight[w].popleft()
         # Commit the checkpoint immediately (not at collect time): the
-        # worker's runner has already advanced past this step, so a crash
-        # from here on must restore *this* state or the re-run would fork
-        # the shard's history.
+        # worker's runner has already advanced past this step, so a move or
+        # a crash from here on must resume from *this* state or the next
+        # step would fork the shard's history.
         self._checkpoints[(sid, key)] = state
         for gen in self._gens.get(sid, ()):
             if key in gen["pending"]:

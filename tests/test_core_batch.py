@@ -195,65 +195,43 @@ class TestRaggedBatch:
             block.process_batch([np.zeros((4, 4000)), np.zeros((4, 100))])  # too short
 
 
-class TestExternalLocalizers:
-    """The hop kernel must keep the streaming tick's contract for custom
-    localizers: a ``localize``-only object (no ``localize_batch``, no
-    cache/state keywords) still drives, frame by frame."""
+class TestForeignLocalizerRejected:
+    def test_pipeline_names_the_rejected_type(self):
+        """The hop kernel drives only the built-in localizers' one-pass
+        search, so the pipeline refuses anything else up front."""
 
-    def config(self):
-        return PipelineConfig(n_azimuth=24, n_elevation=2)
+        class LocalizeOnly:
+            def localize(self, frames):
+                raise AssertionError("never called")
 
-    class LocalizeOnly:
-        """Minimal external localizer: just ``localize(frames)``."""
+        with pytest.raises(TypeError, match="LocalizeOnly"):
+            AcousticPerceptionPipeline(MICS, PipelineConfig(), localizer=LocalizeOnly())
+        with pytest.raises(TypeError, match="SrpPhat, FastSrpPhat or MusicDoa"):
+            BlockPipeline(MICS, PipelineConfig(), localizer=object())
+        for kind in ("srp", "srp_fast", "music"):
+            shared = AcousticPerceptionPipeline(MICS, PipelineConfig(localizer=kind)).localizer
+            assert AcousticPerceptionPipeline(MICS, localizer=shared).localizer is shared
 
-        def __init__(self):
-            self.calls = 0
+    def test_subclass_of_a_builtin_is_accepted(self):
+        """The check is by ``isinstance``: a subclass of a built-in
+        localizer passes, and the hop kernel drives its one-pass search
+        exactly as it drives the base class."""
+        from repro.ssl.doa import DoaGrid
+        from repro.ssl.srp_fast import FastSrpPhat
 
-        def localize(self, frames):
-            from repro.ssl.srp import SrpResult
+        class CountedSrp(FastSrpPhat):
+            calls = 0
 
-            self.calls += 1
-            assert frames.ndim == 2  # one (n_mics, frame_length) block
-            return SrpResult(
-                map=np.zeros((1, 1)), azimuth=0.3, elevation=0.1,
-                direction=np.array([1.0, 0.0, 0.0]),
-            )
+            def _peak_flats(self, *args, **kwargs):
+                type(self).calls += 1
+                return super()._peak_flats(*args, **kwargs)
 
-    def test_streaming_tick_with_localize_only(self):
-        cfg = self.config()
-        loc = self.LocalizeOnly()
-        p = AcousticPerceptionPipeline(
-            MICS, cfg, detector=AlwaysSiren(cfg.n_mels), localizer=loc
-        )
-        r = p.process_frame(np.random.default_rng(0).standard_normal((4, 512)))
-        assert r.detected and np.isfinite(r.azimuth)
-        assert loc.calls == 1
-
-    def test_batched_with_localize_only(self):
-        cfg = self.config()
-        loc = self.LocalizeOnly()
-        p = AcousticPerceptionPipeline(
-            MICS, cfg, detector=AlwaysSiren(cfg.n_mels), localizer=loc
-        )
-        results = p.process_signal_batched(signal(8, 4000))
-        assert all(r.detected for r in results)
-        assert loc.calls == len(results)
-
-    def test_localize_only_state_kwarg_forwarded(self):
-        cfg = self.config()
-
-        class StatefulLocalizeOnly(self.LocalizeOnly):
-            def __init__(self):
-                super().__init__()
-                self.states = []
-
-            def localize(self, frames, *, state=None):
-                self.states.append(state)
-                return super().localize(frames)
-
-        loc = StatefulLocalizeOnly()
-        p = AcousticPerceptionPipeline(
-            MICS, cfg, detector=AlwaysSiren(cfg.n_mels), localizer=loc
-        )
-        p.process_frame(np.random.default_rng(1).standard_normal((4, 512)))
-        assert loc.states == [p.refine_state]
+        cfg = PipelineConfig(n_azimuth=24, n_elevation=2)
+        results = []
+        for cls in (FastSrpPhat, CountedSrp):
+            loc = cls(MICS, cfg.fs, grid=DoaGrid(n_azimuth=24, n_elevation=2), n_fft=cfg.n_fft_srp)
+            p = AcousticPerceptionPipeline(MICS, cfg, detector=AlwaysSiren(cfg.n_mels), localizer=loc)
+            results.append(p.process_signal_batched(signal(3, 8000)))
+        assert CountedSrp.calls > 0
+        assert all(np.isfinite(r.azimuth) for r in results[1])
+        assert_results_equal(*results)

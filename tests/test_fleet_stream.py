@@ -293,12 +293,13 @@ class TestFleetStreamSession:
                     popped[r.frame_index] = t
             updates += out.updates
         assert updates
+        assert len(session.stage_budgets) == len(updates)
         waits = set()
-        for u in updates:
+        for u, budget in zip(updates, session.stage_budgets):
             t_cap = (u.frame_index * cfg.hop_length + cfg.frame_length) / cfg.fs
             expected = max(0.0, popped[u.frame_index] - t_cap) * 1e3
-            assert u.budget.delivery_ms == pytest.approx(expected, rel=1e-9, abs=1e-9)
-            waits.add(round(u.budget.delivery_ms, 6))
+            assert budget.delivery_ms == pytest.approx(expected, rel=1e-9, abs=1e-9)
+            waits.add(round(budget.delivery_ms, 6))
         assert len(waits) > hop_batch  # jitter spreads delivery beyond the batch wait
 
     def test_source_validation(self):

@@ -7,12 +7,12 @@ contracts pin that down:
 
 - **run_clips equals per-clip stepping.**  Driving each clip alone through
   ``HopKernel.step`` gives bit-equal ``FrameResult`` fields and equal
-  refinement states, trackers and external-localizer calls, for the three
-  built-in localizers and for external localizers on the per-clip
-  fallback.  The equality rests on every frame's power being computed from
-  that frame alone; the GEMM bits of a row do not depend on the rows it is
-  batched with except through BLAS kernel choice, so the examples are
-  derandomized: an ulp-level power tie could otherwise flip an argmax.
+  refinement states and trackers, for the three built-in localizers (the
+  only ones a pipeline accepts).  The equality rests on every frame's power
+  being computed from that frame alone; the GEMM bits of a row do not
+  depend on the rows it is batched with except through BLAS kernel choice,
+  so the examples are derandomized: an ulp-level power tie could otherwise
+  flip an argmax.
 - **The public search is the parent's.**  ``coarse_to_fine_search`` (the
   one-segment case of the segment search) returns the same peaks, maps and
   state as the list-and-numpy implementation it replaced, copied below as
@@ -161,31 +161,7 @@ class MaskDetector(Sequential):
         return out
 
 
-class BatchOnly:
-    """External localizer with a bare ``localize_batch(frames)``."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.calls: list[int] = []
-
-    def localize_batch(self, frames):
-        self.calls.append(len(frames))
-        return self.inner.localize_batch(frames)
-
-
-class StatefulLocalizeOnly:
-    """External localizer with only ``localize(frame, *, state)``."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.calls: list[int] = []
-
-    def localize(self, frames, *, state=None):
-        self.calls.append(1)
-        return self.inner.localize(frames, state=state)
-
-
-KINDS = ["srp", "srp_fast", "music", "batch_only", "localize_only"]
+KINDS = ["srp", "srp_fast", "music"]
 
 
 def make_pipeline(kind, refine_levels):
@@ -196,19 +172,10 @@ def make_pipeline(kind, refine_levels):
         n_fft_srp=2 * FRAME,
         n_azimuth=24,
         n_elevation=3,
-        localizer="srp_fast" if kind in ("batch_only", "localize_only") else kind,
+        localizer=kind,
         refine_levels=refine_levels,
     )
-    pipe = AcousticPerceptionPipeline(MICS, cfg, detector=MaskDetector(cfg.n_mels))
-    if kind == "batch_only":
-        pipe = AcousticPerceptionPipeline(
-            MICS, cfg, detector=pipe.detector, localizer=BatchOnly(pipe.localizer)
-        )
-    elif kind == "localize_only":
-        pipe = AcousticPerceptionPipeline(
-            MICS, cfg, detector=pipe.detector, localizer=StatefulLocalizeOnly(pipe.localizer)
-        )
-    return pipe
+    return AcousticPerceptionPipeline(MICS, cfg, detector=MaskDetector(cfg.n_mels))
 
 
 @st.composite
@@ -267,16 +234,12 @@ class TestRunClipsEqualsPerClipStepping:
         pipe.detector.queue = list(mask)
         one_trackers = copy.deepcopy(trackers)
         one_states = [None if s is None else s.clone() for s in states]
-        calls = getattr(pipe.localizer, "calls", None)
-        n_calls = 0 if calls is None else len(calls)
         one_pass = kernel.run_clips(blocks, one_trackers, one_states, starts, prime=plan["prime"])
-        one_calls = None if calls is None else calls[n_calls:]
 
         pipe._dense_ema = ema
         pipe.detector.queue = list(mask)
         ref_trackers = copy.deepcopy(trackers)
         ref_states = [None if s is None else s.clone() for s in states]
-        n_calls = 0 if calls is None else len(calls)
         stepped = [
             kernel.step(block, tracker=tr, state=s, start_index=start, prime=plan["prime"])
             for block, tr, s, start in zip(blocks, ref_trackers, ref_states, starts)
@@ -291,9 +254,6 @@ class TestRunClipsEqualsPerClipStepping:
             assert_states_equal(a, b)
         for a, b in zip(one_trackers, ref_trackers):
             assert vars(a) == vars(b)
-        if calls is not None:
-            # External localizers stay on the per-clip fallback.
-            assert one_calls == calls[n_calls:]
 
 
 def _random_maps(rng, n_frames, size, ties):

@@ -3,16 +3,17 @@
 The PR 9 contract, in layers:
 
 - **shard migration is invisible to results.**  A forced :meth:`~repro.
-  stream.pool.ShardWorkerPool.migrate` (and an organic steal) moves a shard
-  between workers via the same drop → re-register → checkpoint-restore
-  machinery :meth:`recover` uses, so step replies continue exactly where
-  they left off — never skipping or re-running a hop step.  Migrating a
-  shard *back* revives the loser's dormant runner without re-shipping its
-  registration payload.
-- **the crash window is covered.**  SIGKILLing the thief mid-migration
-  (between the loser's drop and the thief's register — the pool's
-  ``_migration_hook`` test point) resolves through :meth:`recover` with the
-  shard stepped exactly once per step, not zero or two times.
+  stream.pool.ShardWorkerPool.migrate` (and an organic steal) only re-homes
+  the shard's queued items; its next step, sent to a worker that did not
+  run its previous step, carries its last checkpoint, so step replies
+  continue exactly where they left off — never skipping or re-running a
+  hop step.  Migrating a shard *back* to a worker holding a stale copy
+  ships no registration payload, only the checkpoint on the first step.
+- **a crash resolves through the next dispatch.**  :meth:`recover` sends
+  nothing: SIGKILLing the thief after a migration and before its first
+  step there, or any worker mid-step, leaves every shard stepped exactly
+  once per step after the retried collect — a derandomized Hypothesis
+  property over drawn steps, migrations and kills pins it.
 - **admission control counts the join burst.**  :meth:`saturated` takes the
   *incoming* shard count, so two sessions joining in one supervisor step
   cannot overshoot ``max_shards_per_worker``.
@@ -33,6 +34,7 @@ The PR 9 contract, in layers:
 
 import json
 import os
+import pickle
 import signal
 import time
 
@@ -161,9 +163,108 @@ class TestWorkStealing:
             # Continuation from the checkpoint, not a restart from zero.
             assert pool.step("a") == {0: (0, 2), 1: (1, 2)}
 
-    def test_migrate_back_revives_dormant_without_payload(self):
-        """A shard returning to a worker it lived on before is revived from
-        that worker's dormant cache: no registration payload re-ships."""
+    def test_migrate_back_to_stale_holder_ships_only_the_checkpoint(self):
+        """A shard returning to a worker that holds a stale copy of its
+        runner ships no registration payload: its next step there carries
+        the checkpoint, and the step after that carries none."""
+        with ShardWorkerPool(2) as pool:
+            pool.register("a", {0: CountingRunner(0)})
+            assert pool.step("a") == {0: (0, 1)}
+            pool.migrate("a", 0, to=1)
+            assert pool.step("a") == {0: (0, 2)}  # worker 0's copy is stale
+            sent = []
+            original = pool._send
+            pool._send = lambda w, msg: (sent.append((w, msg)), original(w, msg))[1]
+            pool.migrate("a", 0, to=0)  # back to the stale holder
+            assert sent == []  # a move is bookkeeping: nothing is sent
+            assert pool.step("a") == {0: (0, 3)}
+            assert pool.step("a") == {0: (0, 4)}
+            pool._send = original
+            assert [(w, msg[0]) for w, msg in sent] == [(0, "step"), (0, "step")]
+            assert pickle.loads(sent[0][1][3]) == {"count": 2}
+            assert sent[1][1][3] is None
+            assert pool._holders[("a", 0)] == {0, 1}
+
+    def test_pipelined_steps_after_a_move_load_the_checkpoint_once(self):
+        """Two steps of a moved shard in one pipe: the first carries the
+        checkpoint, the second runs on from the first (no rewind)."""
+        with ShardWorkerPool(2) as pool:
+            pool.register("a", {0: CountingRunner(0)})
+            assert pool.step("a") == {0: (0, 1)}
+            pool.migrate("a", 0, to=1)
+            sent = []
+            original = pool._send
+            pool._send = lambda w, msg: (sent.append((w, msg)), original(w, msg))[1]
+            pool.step_send("a")
+            pool.step_send("a")
+            assert pool.step_collect("a") == {0: (0, 2)}
+            assert pool.step_collect("a") == {0: (0, 3)}
+            pool._send = original
+            steps = [msg for w, msg in sent if msg[0] == "step"]
+            assert [w for w, msg in sent] == [1, 1, 1]  # register, step, step
+            assert pickle.loads(steps[0][3]) == {"count": 1}
+            assert steps[1][3] is None
+
+    def test_sigkill_thief_after_migrate_recovers_exactly_once(self):
+        """The thief dies after migrate() and before its first step of the
+        moved shard: the collect raises, recover() sends nothing, and the
+        retried collect continues every count exactly once."""
+        with ShardWorkerPool(2) as pool:
+            pool.register("a", {0: CountingRunner(0), 1: CountingRunner(1)})
+            assert pool.step("a") == {0: (0, 1), 1: (1, 1)}
+            pool.migrate("a", 0, to=1)
+            thief = pool._procs[1]
+            os.kill(thief.pid, signal.SIGKILL)
+            thief.join()
+            pool.step_send("a")
+            with pytest.raises(WorkerCrashed):
+                pool.step_collect("a")
+            sent = []
+            original = pool._send
+            pool._send = lambda w, msg: (sent.append((w, msg)), original(w, msg))[1]
+            assert pool.recover() == 1
+            assert sent == []
+            assert pool.step_collect("a") == {0: (0, 2), 1: (1, 2)}
+            pool._send = original
+            # The respawned thief got both payloads and both checkpoints.
+            assert [msg[0] for w, msg in sent] == ["register", "step"] * 2
+            assert all(w == 1 for w, msg in sent)
+            assert pool.step("a") == {0: (0, 3), 1: (1, 3)}
+            assert pool.n_migrations == 1
+
+    def test_steal_of_a_stepped_shard_carries_its_checkpoint(self):
+        """An organic steal of a shard that already stepped on another
+        worker: the thief gets the registration payload, then a step
+        carrying the shard's checkpoint.  No other step carries one, and
+        nothing but registrations and steps is sent."""
+        runners = {
+            k: SlowRunner(k, delay_s=0.1) if k % 2 == 0 else CountingRunner(k)
+            for k in range(6)
+        }
+        with ShardWorkerPool(2, steal=False) as pool:
+            pool.register("a", runners)
+            assert pool.step("a") == {k: (k, 1) for k in range(6)}  # pinned
+            pool.steal = True
+            sent = []
+            original = pool._send
+            pool._send = lambda w, msg: (sent.append((w, msg)), original(w, msg))[1]
+            assert pool.step("a") == {k: (k, 2) for k in range(6)}
+            pool._send = original
+            # The skew of test_idle_worker_steals_from_deepest_queue: the
+            # fast worker 1 steals shard 4, queued behind slow worker 0.
+            assert pool.n_steals == 1 and pool._assign[("a", 4)] == 1
+            assert {msg[0] for w, msg in sent} == {"register", "step"}
+            moved = [(w, msg[0]) for w, msg in sent if msg[2] == 4]
+            assert moved == [(1, "register"), (1, "step")]
+            carried = [(w, msg) for w, msg in sent if msg[0] == "step" and msg[3] is not None]
+            assert [(w, msg[2]) for w, msg in carried] == [(1, 4)]
+            assert pickle.loads(carried[0][1][3]) == {"count": 1, "delay_s": 0.1}
+            assert pool.step("a") == {k: (k, 3) for k in range(6)}
+
+    def test_release_reaches_every_worker_holding_a_copy(self):
+        """Workers keep every runner they were sent, so releasing a session
+        whose shard moved drops it on the stale holder too; the session id
+        then registers afresh, with no checkpoint left over."""
         with ShardWorkerPool(2) as pool:
             pool.register("a", {0: CountingRunner(0)})
             assert pool.step("a") == {0: (0, 1)}
@@ -171,39 +272,69 @@ class TestWorkStealing:
             assert pool.step("a") == {0: (0, 2)}
             sent = []
             original = pool._send
-            pool._send = lambda w, msg: (sent.append(msg), original(w, msg))[1]
-            pool.migrate("a", 0, to=0)  # back home
+            pool._send = lambda w, msg: (sent.append((w, msg)), original(w, msg))[1]
+            pool.release("a")
             pool._send = original
-            registers = [m for m in sent if m[0] == "register"]
-            # blob is None: the dormant runner revives in place.
-            assert registers == [("register", "a", 0, None)]
-            assert pool._seeded[("a", 0)] == {0, 1}
-            assert pool.step("a") == {0: (0, 3)}
+            assert sent == [(0, ("release", "a")), (1, ("release", "a"))]
+            assert pool.sessions() == [] and pool._holders == {} and pool._latest == {}
+            pool.register("a", {0: CountingRunner(0)})
+            assert pool.step("a") == {0: (0, 1)}  # a fresh runner, not the old one
+            pool.migrate("a", 0, to=1)
+            assert pool.step("a") == {0: (0, 2)}  # worker 1 re-registers it
 
-    def test_sigkill_thief_mid_migration_recovers_exactly_once(self):
-        """Worker death in the migration window — after the loser dropped
-        the shard, before the thief registered it — must resolve through
-        recover() with no lost or duplicated hop steps."""
+
+POOL_OPS = st.one_of(
+    st.tuples(st.just("step"), st.integers(1, 2)),  # 1 or 2 pipelined steps
+    st.tuples(st.just("migrate"), st.integers(0, 2), st.integers(0, 1)),
+    st.tuples(st.just("kill"), st.integers(0, 1), st.booleans()),  # mid-step?
+)
+
+
+@pytest.mark.parallel
+class TestCheckpointRidesNextStep:
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(ops=st.lists(POOL_OPS, min_size=6, max_size=10))
+    def test_counts_equal_completed_steps(self, ops):
+        """Drawn steps (pipelined in pairs too), forced migrations (back to
+        stale holders too) and SIGKILLs between or during steps, each kill
+        followed by recover(): after every completed step each shard has
+        stepped exactly once per completed step."""
         with ShardWorkerPool(2) as pool:
-            pool.register("a", {0: CountingRunner(0), 1: CountingRunner(1)})
-            assert pool.step("a") == {0: (0, 1), 1: (1, 1)}
+            pool.register("a", {k: CountingRunner(k) for k in range(3)})
+            done = 0
+            for op in ops + [("step", 1)]:
+                kind = op[0]
+                if kind == "migrate":
+                    pool.migrate("a", op[1], to=op[2])
+                elif kind == "kill" and not op[2]:  # between steps
+                    kill_worker(pool, op[1])
+                    assert pool.recover() == 1
+                else:
+                    n = op[1] if kind == "step" else 1
+                    for _ in range(n):
+                        pool.step_send("a")
+                    if kind == "kill":
+                        kill_worker(pool, op[1])
+                    for _ in range(n):
+                        done += 1
+                        assert collect_through_crash(pool) == {k: (k, done) for k in range(3)}
+                    pool.recover()  # a worker killed after its last reply
+            assert all(proc.is_alive() for proc in pool._procs)
 
-            def kill_thief(shard, src, dst):
-                proc = pool._procs[dst]
-                os.kill(proc.pid, signal.SIGKILL)
-                proc.join()
 
-            pool._migration_hook = kill_thief
-            with pytest.raises(WorkerCrashed):
-                pool.migrate("a", 0, to=1)
-                pool.step("a")  # if the register send buffered, step surfaces it
-            pool._migration_hook = None
-            assert pool.recover() == 1
-            # Both shards restored to their step-1 checkpoints on the
-            # respawned worker; counts continue exactly once per step.
-            assert pool.step("a") == {0: (0, 2), 1: (1, 2)}
-            assert pool.step("a") == {0: (0, 3), 1: (1, 3)}
-            assert pool.n_migrations == 1
+def kill_worker(pool, w):
+    proc = pool._procs[w]
+    os.kill(proc.pid, signal.SIGKILL)
+    proc.join()
+
+
+def collect_through_crash(pool):
+    """``step_collect``, recovering and retrying once if a worker died."""
+    try:
+        return pool.step_collect("a")
+    except WorkerCrashed:
+        assert pool.recover() == 1
+        return pool.step_collect("a")
 
 
 @needs_processes

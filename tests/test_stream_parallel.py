@@ -499,8 +499,8 @@ class TestParallelEquivalence:
         assert result.updates, "dense scene must emit updates"
         assert len(result.stage_budgets) == len(result.updates)
         cfg = config()
-        for update, budget in zip(result.updates, result.stage_budgets):
-            assert update.budget is budget
+        for budget in result.stage_budgets:
+            assert isinstance(budget, StageBudget)
             assert budget.capture_ms == pytest.approx(cfg.capture_latency_s * 1e3)
             for stage in ("delivery", "ingest", "kernel", "fusion", "emit"):
                 assert budget.stage_ms(stage) >= 0.0
@@ -563,8 +563,8 @@ class TestParallelEquivalence:
             assert stats.n_shrinks == 0
             assert stats.min_batch_used == stats.max_batch_used == 8
         assert result.updates
-        assert all(isinstance(u.budget, StageBudget) for u in result.updates)
         assert len(result.stage_budgets) == len(result.updates)
+        assert all(isinstance(b, StageBudget) for b in result.stage_budgets)
         assert_frame_streams_equal(offline.node_results, result.node_results)
         assert_tracks_identical(offline_tracks, result.tracks)
 
